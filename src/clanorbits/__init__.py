@@ -11,7 +11,6 @@ from .clans import (
     BAD_PATTERNS,
     Clan,
     all_sign_clans,
-    apply_permutation,
     avoids_bad_patterns,
     concat,
     count_clans,
@@ -29,14 +28,14 @@ from .closure import (
     OrbitPoset,
     build_poset,
     complete_closure,
-    monoid_action,
     quotient_poset,
     raising_moves_oracle,
     simple_move_a,
     weak_order_graph,
 )
 from .family_a import FamilyA, nested_open_clan
-from .family_c import FamilyC, FiberFormC, gamma_circ_c, middle_crossings
+from .family import middle_crossings
+from .family_c import FamilyC, FiberFormC, gamma_circ_c
 from .family_d import FamilyD, FiberFormD, compress, expand_compressed, gamma_circ_d
 from .springer import SpringerReport, cross_validate, rationally_smooth, springer_report
 
@@ -51,7 +50,6 @@ __all__ = [
     "OrbitPoset",
     "SpringerReport",
     "all_sign_clans",
-    "apply_permutation",
     "avoids_bad_patterns",
     "build_poset",
     "complete_closure",
@@ -68,7 +66,6 @@ __all__ = [
     "is_symmetric",
     "length_stat",
     "middle_crossings",
-    "monoid_action",
     "negate",
     "nested_open_clan",
     "parse_clan",

@@ -3,18 +3,22 @@
 The on-disk schema is {version, family, p/q or n, convention, orbits,
 dims, covers}; orbits are canonical clan strings and covers carry their
 1-based root label or null for completion edges.  Loading validates the
-schema and rebuilds reachability; a failed check raises rather than
+schema and rebuilds reachability, and `load_or_build` checks that the
+file holds the requested family; a failed check raises rather than
 returning a bad poset.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import tempfile
 from pathlib import Path
 
 from .clans import parse_clan
-from .closure import OrbitPoset
-from .errors import CorruptCache, VersionMismatch
+from .closure import OrbitPoset, build_poset
+from .errors import CorruptCache, RankTooLarge, VersionMismatch
+from .family import Family
 
 CACHE_VERSION = 1
 
@@ -64,9 +68,18 @@ def cache_key(meta: dict) -> str:
 
 
 def save_poset(poset: OrbitPoset, path: str | Path) -> Path:
+    """Write through a temp file in the same directory and rename it into
+    place, so a concurrent reader sees the old file or the new, never part."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(poset_to_dict(poset), sort_keys=True))
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(json.dumps(poset_to_dict(poset), sort_keys=True))
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
     return path
 
 
@@ -78,16 +91,22 @@ def load_poset(path: str | Path) -> OrbitPoset:
     return poset_from_dict(data)
 
 
-def load_or_build(family, cache_dir: str | Path | None):
+def load_or_build(family: Family, cache_dir: str | Path | None,
+                  max_orbits: int | None = None) -> OrbitPoset:
     """Fetch the family's poset from the cache directory, building and
-    storing it on a miss."""
-    from .closure import build_poset
-
+    storing it on a miss.  A cached poset of another family is a
+    `CorruptCache`.  A build stops once it passes `max_orbits`; a cached
+    poset over the cap is refused."""
     if cache_dir is None:
-        return build_poset(family)
+        return build_poset(family, max_orbits)
     path = Path(cache_dir) / cache_key(family.meta())
     if path.exists():
-        return load_poset(path)
-    poset = build_poset(family)
+        poset = load_poset(path)
+        if poset.meta != family.meta():
+            raise CorruptCache(f"{path} holds the poset of {poset.meta}, not {family.meta()}")
+        if max_orbits is not None and len(poset) > max_orbits:
+            raise RankTooLarge(f"{len(poset)} orbits exceed the cap of {max_orbits}")
+        return poset
+    poset = build_poset(family, max_orbits)
     save_poset(poset, path)
     return poset

@@ -25,7 +25,6 @@ from itertools import combinations
 from typing import Iterator, Sequence
 
 from .errors import (
-    LengthMismatch,
     MalformedToken,
     OddLength,
     PairCountNotTwo,
@@ -401,20 +400,6 @@ def is_antisymmetric(clan: Clan, convention: str = "paper") -> bool:
         return False
     want = 0 if convention == "paper" else n % 2
     return _half_parity(clan) == want
-
-
-def apply_permutation(w: Sequence[int], clan: Clan) -> Clan:
-    """Relocate symbols: the w(i)-th entry of the result is entry i of
-    `clan` (both 1-based)."""
-    n = len(clan)
-    if len(w) != n:
-        raise LengthMismatch(f"permutation of length {len(w)} on clan of length {n}")
-    if sorted(w) != list(range(1, n + 1)):
-        raise ValueError("not a permutation of 1..n")
-    out: list = [None] * n
-    for i, s in enumerate(clan.symbols):
-        out[w[i] - 1] = s
-    return Clan(_canonicalize(out))
 
 
 def all_sign_clans(n: int, plus: int) -> list[Clan]:

@@ -16,10 +16,10 @@ import argparse
 import json
 import sys
 
-from .cache import load_or_build, save_poset
-from .clans import count_clans, enumerate_clans
+from .cache import load_or_build
+from .clans import count_clans
 from .closure import OrbitPoset, quotient_poset, raising_moves_oracle
-from .errors import ClanError
+from .errors import CacheError, ClanError
 from .family_a import FamilyA
 from .family_c import FamilyC
 from .family_d import FamilyD
@@ -39,9 +39,7 @@ def make_family(args, parser):
 
 def family_poset(family, args) -> tuple[OrbitPoset, OrbitPoset]:
     """Base poset plus the view at the requested isogeny level."""
-    poset = load_or_build(family, args.cache_dir)
-    if args.max_orbits is not None and len(poset) > args.max_orbits:
-        raise ClanError(f"{len(poset)} orbits exceed --max-orbits {args.max_orbits}")
+    poset = load_or_build(family, args.cache_dir, args.max_orbits)
     fold = family.isogeny_fold(args.isogeny)
     view = quotient_poset(poset, fold, args.isogeny) if fold is not None else poset
     return poset, view
@@ -54,10 +52,7 @@ def orbit_rows(family, poset: OrbitPoset) -> list[dict]:
         verdicts = {family.classify(m) for m in members}
         if len(verdicts) != 1:
             raise ClanError(f"classification differs inside the class of {clan}")
-        witness = ""
-        if hasattr(family, "fiber_form"):
-            form = family.fiber_form(clan)
-            witness = form.describe() if form else ""
+        form = family.fiber_form(clan)
         rows.append(
             {
                 "clan": str(clan),
@@ -65,7 +60,7 @@ def orbit_rows(family, poset: OrbitPoset) -> list[dict]:
                 "dim": poset.dims[i],
                 "closed": clan.is_all_signs(),
                 "smooth": verdicts.pop(),
-                "fiber_form": witness,
+                "fiber_form": form.describe() if form else "",
             }
         )
     return rows
@@ -156,15 +151,15 @@ def _verify_figures(args, parser) -> int:
 
 def _verify_counts(args, parser) -> int:
     family = make_family(args, parser)
-    orbits = family.enumerate()
-    ok = True
     if args.family == "a":
+        orbits = family.enumerate()
         expected = count_clans(args.p, args.q)
         ok = len(orbits) == expected
         print(f"counts {family}: {len(orbits)} orbits vs closed form {expected}: "
               f"{'pass' if ok else 'FAIL'}")
     else:
-        poset = load_or_build(family, args.cache_dir)
+        poset = load_or_build(family, args.cache_dir, args.max_orbits)
+        orbits = family.enumerate()
         ok = set(poset.orbits) == set(orbits)
         print(f"counts {family}: {len(orbits)} orbits; move closure "
               f"{'matches' if ok else 'DIFFERS from'} the predicate")
@@ -180,7 +175,7 @@ def _verify_oracle(args, parser) -> int:
     if args.family != "a":
         parser.error("the raising-move oracle applies to --family a")
     family = make_family(args, parser)
-    poset = load_or_build(family, args.cache_dir)
+    poset = load_or_build(family, args.cache_dir, args.max_orbits)
     ids = poset.index
     n = len(poset)
     unsound = 0
@@ -253,7 +248,7 @@ def main(argv=None) -> int:
             "oracle": _verify_oracle,
         }[args.target]
         return target(args, parser)
-    except ClanError as exc:
+    except (ClanError, CacheError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

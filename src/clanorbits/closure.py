@@ -8,19 +8,13 @@ the cover O3 -> O1 must be present; added edges are marked "completed"
 (the dashed edges of closure diagrams).  The rule is applied to a
 fixpoint; added edges participate again as the O4 -> O2 premise.
 
-Family objects plugged into `build_poset` provide:
-
-* ``clan_length``, ``root_indices()`` (1-based simple-root labels)
-* ``raise_by(clan, root) -> Clan | None`` (the monoid action when it
-  raises dimension by one, else None)
-* ``dimension(clan)``, ``enumerate()``, ``closed_clans()``,
-  ``open_clan()``, ``contains(clan)``, ``meta()``
+Family objects plugged into `build_poset` follow `clanorbits.family.Family`.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from .clans import Clan, _canonicalize
 from .errors import (
@@ -29,6 +23,9 @@ from .errors import (
     RankTooLarge,
     UnknownOrbit,
 )
+
+if TYPE_CHECKING:
+    from .family import Family
 
 
 def _move(sym: tuple, u: int):
@@ -117,11 +114,6 @@ def lifted_double_move(sym: tuple, u: int, v: int):
             f"mirrored moves disagree on {sym}: position {u + 1} raises alone"
         )
     return _move(first, v)
-
-
-def monoid_action(family, clan: Clan, root: int) -> Clan | None:
-    """The family's simple-root raising action; None when it fixes the orbit."""
-    return family.raise_by(clan, root)
 
 
 def raising_moves_oracle(clan: Clan) -> set[Clan]:
@@ -259,7 +251,7 @@ class OrbitPoset:
                     raise ConsistencyError(f"minimal orbit {clan} is not an all-sign clan")
 
 
-def weak_order_graph(family, max_orbits: int | None = None):
+def weak_order_graph(family: Family, max_orbits: int | None = None):
     """Upward move-closure of the family's closed orbits.
 
     Returns (dims, edges): a dict clan -> dimension and the list of
@@ -329,7 +321,7 @@ def complete_closure(dims_by_id: Sequence[int], n_orbits: int,
     return triples
 
 
-def build_poset(family, max_orbits: int | None = None) -> OrbitPoset:
+def build_poset(family: Family, max_orbits: int | None = None) -> OrbitPoset:
     """Weak order graph, completed and wrapped with reachability."""
     dims, weak = weak_order_graph(family, max_orbits)
     order = sorted(dims, key=lambda c: (dims[c], str(c)))

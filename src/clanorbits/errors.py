@@ -17,10 +17,6 @@ class OddLength(ClanError):
     pass
 
 
-class LengthMismatch(ClanError):
-    pass
-
-
 class SignatureMismatch(ClanError):
     pass
 

@@ -13,20 +13,11 @@ flip-invariant, so it descends to classes.
 
 from __future__ import annotations
 
-from .clans import (
-    Clan,
-    MINUS,
-    PLUS,
-    all_sign_clans,
-    avoids_bad_patterns,
-    enumerate_clans,
-    length_stat,
-    negate,
-)
+from .clans import Clan, MINUS, PLUS, all_sign_clans, enumerate_clans, length_stat
+from .clans import avoids_bad_patterns  # noqa: F401  perfbench's tracer test patches it here
 from .closure import simple_move_a
 from .errors import InvalidRoot, NotClosed, SignatureMismatch
-
-ISOGENY_LEVELS_A = ("sc", "adjoint")
+from .family import Family
 
 
 def nested_open_clan(p: int, q: int) -> Clan:
@@ -37,7 +28,7 @@ def nested_open_clan(p: int, q: int) -> Clan:
     return Clan(tuple(symbols))
 
 
-class FamilyA:
+class FamilyA(Family):
     name = "a"
 
     def __init__(self, p: int, q: int):
@@ -85,21 +76,10 @@ class FamilyA:
     def open_clan(self) -> Clan:
         return nested_open_clan(self.p, self.q)
 
-    def classify(self, clan: Clan) -> bool:
-        """True when the orbit closure is smooth (equivalently rationally
-        smooth): no bad pattern occurs."""
-        self._check(clan)
-        return avoids_bad_patterns(clan)
-
     # Springer-criterion ingredients: positive roots e_i - e_j act on the
     # all-sign clans of closed orbits.
     def positive_roots(self) -> list[tuple[int, int, int]]:
         return [(i, j, -1) for i in range(1, self.n + 1) for j in range(i + 1, self.n + 1)]
-
-    @staticmethod
-    def root_str(root: tuple[int, int, int]) -> str:
-        i, j, eps = root
-        return f"e{i}-e{j}" if eps < 0 else f"e{i}+e{j}"
 
     def is_noncompact(self, closed: Clan, root: tuple[int, int, int]) -> bool:
         if not closed.is_all_signs():
@@ -116,28 +96,3 @@ class FamilyA:
         out = list(closed.symbols)
         out[i - 1] = out[j - 1] = fresh
         return Clan.from_symbols(out)
-
-    def springer_data(self, closed: Clan) -> list[tuple[tuple[int, int, int], Clan]]:
-        """(root, raised clan) for every noncompact imaginary positive root."""
-        return [
-            (root, self.springer_move(closed, root))
-            for root in self.positive_roots()
-            if self.is_noncompact(closed, root)
-        ]
-
-    def isogeny_fold(self, level: str = "sc"):
-        if level not in ISOGENY_LEVELS_A:
-            raise ValueError(f"family a levels are {ISOGENY_LEVELS_A}, got {level!r}")
-        if level == "adjoint" and self.p == self.q:
-            return negate
-        return None
-
-    def isogeny_classes(self, level: str = "adjoint") -> list[tuple[Clan, ...]]:
-        """Orbit classes at the given level: sign-flip classes when p = q
-        at the adjoint level, singletons otherwise."""
-        fold = self.isogeny_fold(level)
-        out: dict[Clan, set[Clan]] = {}
-        for c in self.enumerate():
-            r = c if fold is None else min(c, fold(c))
-            out.setdefault(r, set()).add(c)
-        return [tuple(sorted(v)) for _, v in sorted(out.items())]

@@ -26,14 +26,11 @@ from .clans import (
     enumerate_clans,
     is_symmetric,
     length_stat,
-    negate,
     reverse_rename,
 )
-from .closure import _move, lifted_double_move
-from .clans import _canonicalize
-from .errors import ConsistencyError, InvalidRoot, NotClosed, NotSymmetric, SignatureMismatch
-
-ISOGENY_LEVELS_C = ("sc", "adjoint")
+from .closure import _move
+from .errors import ConsistencyError, NotSymmetric, SignatureMismatch
+from .family import MirrorFamily, middle_crossings
 
 
 def gamma_circ_c(p: int, q: int) -> Clan:
@@ -48,13 +45,6 @@ def gamma_circ_c(p: int, q: int) -> Clan:
     for t in range(k, 0, -1):
         tail += [2 * t - 1, 2 * t]
     return Clan(tuple(head + [sign] * (2 * abs(p - q)) + tail))
-
-
-def middle_crossings(clan: Clan) -> int:
-    """Pairs (s, t) with s in the first half, t in the second, reaching no
-    further than the mirror of s (1-based: s <= n < t <= 2n+1-s)."""
-    n = len(clan) // 2
-    return sum(1 for i, j in clan.pairs if i < n <= j and i + j <= 2 * n - 1)
 
 
 @dataclass(frozen=True)
@@ -81,7 +71,7 @@ class FiberFormC:
         )
 
 
-class FamilyC:
+class FamilyC(MirrorFamily):
     name = "c"
 
     def __init__(self, p: int, q: int):
@@ -122,21 +112,8 @@ class FamilyC:
             raise ConsistencyError(f"odd length statistic for symmetric clan {clan}")
         return self.d_K + total // 2
 
-    def raise_by(self, clan: Clan, root: int) -> Clan | None:
-        n = self.n
-        if not 1 <= root <= n:
-            raise InvalidRoot(f"root {root} out of range 1..{n}")
-        sym = clan.symbols
-        if root == n:
-            moved = _move(sym, n - 1)
-        else:
-            moved = lifted_double_move(sym, root - 1, 2 * n - root - 1)
-        if moved is None:
-            return None
-        out = Clan(_canonicalize(moved))
-        if not self.contains(out) or self.dimension(out) != self.dimension(clan) + 1:
-            raise ConsistencyError(f"raise of {clan} by {root} left the family: {out}")
-        return out
+    def _middle_move(self, sym: tuple):
+        return _move(sym, self.n - 1)
 
     def enumerate(self) -> list[Clan]:
         return [c for c in enumerate_clans(2 * self.p, 2 * self.q) if is_symmetric(c)]
@@ -168,67 +145,3 @@ class FamilyC:
             if concat(prefix, core, reverse_rename(prefix)) == clan and avoids_bad_patterns(prefix):
                 return FiberFormC(prefix, core, r, s, core_p, core_q)
         return None
-
-    def classify(self, clan: Clan) -> bool:
-        """True when the orbit closure is smooth: the clan avoids the bad
-        patterns, or carries the exceptional fiber-bundle form."""
-        self._check(clan)
-        return avoids_bad_patterns(clan) or self.fiber_form(clan) is not None
-
-    def positive_roots(self) -> list[tuple[int, int, int]]:
-        # long roots 2e_i are never noncompact imaginary, so never listed
-        out = []
-        for i in range(1, self.n + 1):
-            for j in range(i + 1, self.n + 1):
-                out.append((i, j, -1))
-                out.append((i, j, +1))
-        return out
-
-    root_str = staticmethod(
-        lambda root: f"e{root[0]}-e{root[1]}" if root[2] < 0 else f"e{root[0]}+e{root[1]}"
-    )
-
-    def is_noncompact(self, closed: Clan, root: tuple[int, int, int]) -> bool:
-        if not closed.is_all_signs():
-            raise NotClosed(f"{closed} is not an all-sign clan")
-        i, j, eps = root
-        sym = closed.symbols
-        other = j - 1 if eps < 0 else 2 * self.n - j
-        return sym[i - 1] != sym[other]
-
-    def springer_move(self, closed: Clan, root: tuple[int, int, int]) -> Clan:
-        """Replace the root's coordinate quadruple by two fresh pairs."""
-        i, j, eps = root
-        m = 2 * self.n + 1
-        if eps < 0:
-            quads = ((i, j), (m - j, m - i))
-        else:
-            quads = ((i, m - j), (j, m - i))
-        out = list(closed.symbols)
-        fresh = 2 * self.n + 1
-        for pid, (a, b) in enumerate(quads):
-            out[a - 1] = out[b - 1] = fresh + pid
-        return Clan.from_symbols(out)
-
-    def springer_data(self, closed: Clan) -> list[tuple[tuple[int, int, int], Clan]]:
-        """(root, raised clan) for every noncompact imaginary positive root."""
-        return [
-            (root, self.springer_move(closed, root))
-            for root in self.positive_roots()
-            if self.is_noncompact(closed, root)
-        ]
-
-    def isogeny_fold(self, level: str = "sc"):
-        if level not in ISOGENY_LEVELS_C:
-            raise ValueError(f"family c levels are {ISOGENY_LEVELS_C}, got {level!r}")
-        if level == "adjoint" and self.p == self.q:
-            return negate
-        return None
-
-    def isogeny_classes(self, level: str = "adjoint") -> list[tuple[Clan, ...]]:
-        fold = self.isogeny_fold(level)
-        out: dict[Clan, set[Clan]] = {}
-        for c in self.enumerate():
-            r = c if fold is None else min(c, fold(c))
-            out.setdefault(r, set()).add(c)
-        return [tuple(sorted(v)) for _, v in sorted(out.items())]

@@ -48,14 +48,8 @@ from .clans import (
     reverse_negate_rename,
 )
 from .closure import _swap, lifted_double_move
-from .errors import (
-    ConsistencyError,
-    InvalidRoot,
-    NeitherAntisymmetric,
-    NotAntisymmetric,
-    NotClosed,
-)
-from .family_c import middle_crossings
+from .errors import ConsistencyError, NeitherAntisymmetric, NotAntisymmetric
+from .family import MirrorFamily, middle_crossings
 
 ISOGENY_LEVELS_D = ("sc", "so", "so-prime", "adjoint")
 
@@ -195,7 +189,7 @@ def fiber_form_d(clan: Clan) -> FiberFormD | None:
     return None
 
 
-class FamilyD:
+class FamilyD(MirrorFamily):
     name = "d"
 
     def __init__(self, n: int, convention: str = "paper"):
@@ -232,25 +226,11 @@ class FamilyD:
             raise ConsistencyError(f"odd length statistic for antisymmetric clan {clan}")
         return self.d_K + total // 2
 
-    def raise_by(self, clan: Clan, root: int) -> Clan | None:
+    def _middle_move(self, sym: tuple):
+        # conjugate by the middle swap, lift root n-1, conjugate back
         n = self.n
-        if n < 2 or not 1 <= root <= n:
-            raise InvalidRoot(f"root {root} out of range for rank {n}")
-        sym = clan.symbols
-        if root < n:
-            moved = lifted_double_move(sym, root - 1, 2 * n - root - 1)
-        else:
-            # conjugate by the middle swap, lift root n-1, conjugate back
-            swapped = _swap(sym, n - 1, n)
-            moved = lifted_double_move(swapped, n - 2, n)
-            if moved is not None:
-                moved = _swap(moved, n - 1, n)
-        if moved is None:
-            return None
-        out = Clan(_canonicalize(moved))
-        if not self.contains(out) or self.dimension(out) != self.dimension(clan) + 1:
-            raise ConsistencyError(f"raise of {clan} by {root} left the family: {out}")
-        return out
+        moved = lifted_double_move(_swap(sym, n - 1, n), n - 2, n)
+        return None if moved is None else _swap(moved, n - 1, n)
 
     def enumerate(self) -> list[Clan]:
         return [
@@ -294,54 +274,7 @@ class FamilyD:
         self._check(clan)
         return fiber_form_d(clan)
 
-    def classify(self, clan: Clan) -> bool:
-        """True when the orbit closure is smooth: the clan avoids the bad
-        patterns or carries an exceptional fiber-bundle form."""
-        self._check(clan)
-        return avoids_bad_patterns(clan) or self.fiber_form(clan) is not None
-
-    def positive_roots(self) -> list[tuple[int, int, int]]:
-        out = []
-        for i in range(1, self.n + 1):
-            for j in range(i + 1, self.n + 1):
-                out.append((i, j, -1))
-                out.append((i, j, +1))
-        return out
-
-    root_str = staticmethod(
-        lambda root: f"e{root[0]}-e{root[1]}" if root[2] < 0 else f"e{root[0]}+e{root[1]}"
-    )
-
-    def is_noncompact(self, closed: Clan, root: tuple[int, int, int]) -> bool:
-        if not closed.is_all_signs():
-            raise NotClosed(f"{closed} is not an all-sign clan")
-        i, j, eps = root
-        sym = closed.symbols
-        other = j - 1 if eps < 0 else 2 * self.n - j
-        return sym[i - 1] != sym[other]
-
-    def springer_move(self, closed: Clan, root: tuple[int, int, int]) -> Clan:
-        i, j, eps = root
-        m = 2 * self.n + 1
-        if eps < 0:
-            quads = ((i, j), (m - j, m - i))
-        else:
-            quads = ((i, m - j), (j, m - i))
-        out = list(closed.symbols)
-        fresh = 2 * self.n + 1
-        for pid, (a, b) in enumerate(quads):
-            out[a - 1] = out[b - 1] = fresh + pid
-        return Clan.from_symbols(out)
-
-    def springer_data(self, closed: Clan) -> list[tuple[tuple[int, int, int], Clan]]:
-        """(root, raised clan) for every noncompact imaginary positive root."""
-        return [
-            (root, self.springer_move(closed, root))
-            for root in self.positive_roots()
-            if self.is_noncompact(closed, root)
-        ]
-
-    def isogeny_fold(self, level: str = "sc"):
+    def isogeny_fold(self, level: str):
         """None when orbits at the level match the simply connected ones;
         `tau` when they fold into twist classes."""
         if level not in ISOGENY_LEVELS_D:
@@ -352,14 +285,6 @@ class FamilyD:
         if level == "so-prime" and m % 2 == 0:
             return None
         return self.tau
-
-    def isogeny_classes(self, level: str) -> list[tuple[Clan, ...]]:
-        fold = self.isogeny_fold(level)
-        out: dict[Clan, set[Clan]] = {}
-        for c in self.enumerate():
-            r = c if fold is None else min(c, fold(c))
-            out.setdefault(r, set()).add(c)
-        return [tuple(sorted(v)) for _, v in sorted(out.items())]
 
 
 # Compressed 4-symbol notation for rank-4 clans: signs are copied from

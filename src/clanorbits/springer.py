@@ -24,8 +24,7 @@ from dataclasses import dataclass
 from .clans import Clan
 from .closure import OrbitPoset
 from .errors import ConsistencyError, NotBelow, NotClosed
-
-Root = tuple[int, int, int]
+from .family import Family, Root
 
 
 @dataclass(frozen=True)
@@ -37,7 +36,7 @@ class SpringerReport:
     dim_gap: int
     violated: bool
 
-    def to_json(self, family) -> dict:
+    def to_json(self, family: Family) -> dict:
         return {
             "orbit": str(self.orbit),
             "closed": str(self.closed),
@@ -48,7 +47,8 @@ class SpringerReport:
         }
 
 
-def springer_report(family, poset: OrbitPoset, orbit: Clan, closed: Clan) -> SpringerReport:
+def springer_report(family: Family, poset: OrbitPoset, orbit: Clan,
+                    closed: Clan) -> SpringerReport:
     """Count the raising roots of `closed` that stay inside the closure
     of `orbit`; the inequality s_size > dim_gap certifies a singularity."""
     oid = poset.id_of(orbit)
@@ -72,7 +72,7 @@ def springer_report(family, poset: OrbitPoset, orbit: Clan, closed: Clan) -> Spr
     return SpringerReport(orbit, rep, tuple(roots), len(roots), gap, len(roots) > gap)
 
 
-def rationally_smooth(family, poset: OrbitPoset, orbit: Clan) -> bool:
+def rationally_smooth(family: Family, poset: OrbitPoset, orbit: Clan) -> bool:
     """True when no closed orbit below `orbit` violates the inequality."""
     return not any(
         springer_report(family, poset, orbit, cl).violated
@@ -80,7 +80,7 @@ def rationally_smooth(family, poset: OrbitPoset, orbit: Clan) -> bool:
     )
 
 
-def cross_validate(family, poset: OrbitPoset) -> dict:
+def cross_validate(family: Family, poset: OrbitPoset) -> dict:
     """Compare the pattern classifier against the root-counting test on
     every orbit.  Mismatches are reported, not raised; the families here
     are expected to produce none."""

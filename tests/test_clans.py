@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from clanorbits import (
     BAD_PATTERNS,
     Clan,
-    apply_permutation,
     avoids_bad_patterns,
     concat,
     count_clans,
@@ -25,7 +24,6 @@ from clanorbits import (
 )
 from clanorbits.clans import MINUS, PLUS
 from clanorbits.errors import (
-    LengthMismatch,
     MalformedToken,
     OddLength,
     PairCountNotTwo,
@@ -197,15 +195,6 @@ def test_antisymmetric_conventions_flip_for_odd_rank():
     assert is_antisymmetric(P("-,+"), "paper")
     assert is_antisymmetric(P("+,-"), "figure")
     assert not is_antisymmetric(P("+,-"), "paper")
-
-
-def test_apply_permutation():
-    g = P("1,1,-,+,2,2")
-    assert apply_permutation((1, 2, 3, 4, 5, 6), g) == g
-    assert str(apply_permutation((1, 2, 3, 5, 4, 6), g)) == "1,1,-,2,+,2"
-    assert str(apply_permutation((1, 2, 4, 3, 5, 6), P("+,1,2,1,2,-"))) == "+,1,1,2,2,-"
-    with pytest.raises(LengthMismatch):
-        apply_permutation((1, 2), g)
 
 
 # ------------------------------------------------------- property tests

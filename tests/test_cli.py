@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from clanorbits import FamilyA, FamilyD, build_poset
+from clanorbits import FamilyA, FamilyC, FamilyD, build_poset
 from clanorbits.cache import (
     cache_key,
     load_or_build,
@@ -90,6 +90,17 @@ def test_verify_oracle(capsys):
     assert code == 0 and "0 unsound moves" in out
 
 
+def test_max_orbits_stops_the_build(tmp_path):
+    # C(4,4) has far more orbits; the cap must fire before enumeration
+    assert main(["list", "--family", "c", "--p", "4", "--q", "4", "--max-orbits", "10"]) == 2
+    assert main(["verify", "counts", "--family", "c", "--p", "4", "--q", "4",
+                 "--max-orbits", "10"]) == 2
+    # a cached poset over the cap is refused too
+    save_poset(build_poset(FamilyA(2, 2)), tmp_path / "a-p2-q2.json")
+    assert main(["list", "--family", "a", "--p", "2", "--q", "2", "--max-orbits", "10",
+                 "--cache-dir", str(tmp_path)]) == 2
+
+
 def test_usage_errors():
     with pytest.raises(SystemExit) as err:
         main(["list", "--family", "d"])  # missing --n
@@ -148,3 +159,22 @@ def test_cli_cache_dir(tmp_path, capsys):
                   "--cache-dir", str(tmp_path))
     assert code == 0
     assert (tmp_path / "a-p1-q1.json").exists()
+
+
+def test_save_poset_replaces_atomically(tmp_path, poset_a22):
+    path = tmp_path / cache_key(poset_a22.meta)
+    path.write_text("stale")
+    with open(path) as reader:  # a concurrent reader keeps the whole old file
+        save_poset(poset_a22, path)
+        assert reader.read() == "stale"
+    assert load_poset(path).orbits == poset_a22.orbits
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+
+def test_cache_rejects_another_familys_poset(tmp_path, capsys):
+    save_poset(build_poset(FamilyC(1, 1)), tmp_path / "a-p2-q2.json")
+    with pytest.raises(CorruptCache):
+        load_or_build(FamilyA(2, 2), tmp_path)
+    code, out = run(capsys, "list", "--family", "a", "--p", "2", "--q", "2",
+                    "--cache-dir", str(tmp_path))
+    assert code == 2 and out == ""

@@ -9,7 +9,6 @@ from clanorbits import (
     FamilyC,
     FamilyD,
     build_poset,
-    monoid_action,
     negate,
     parse_clan,
     quotient_poset,
@@ -62,16 +61,16 @@ def test_weak_graph_trivial_families():
     assert len(dims) == 10
 
 
-def test_monoid_action_examples():
+def test_raise_by_examples():
     fc = FamilyC(2, 2)
-    assert str(monoid_action(fc, P("1,2,3,3,4,4,1,2"), 4)) == "1,2,3,4,3,4,1,2"
+    assert str(fc.raise_by(P("1,2,3,3,4,4,1,2"), 4)) == "1,2,3,4,3,4,1,2"
     fd = FamilyD(4)
-    got = monoid_action(fd, P("+,+,+,+,-,-,-,-"), 4)
+    got = fd.raise_by(P("+,+,+,+,-,-,-,-"), 4)
     assert str(got) == "+,+,1,2,1,2,-,-"
     fd3 = FamilyD(3, "figure")
-    assert str(monoid_action(fd3, P("+,+,+,-,-,-"), 3)) == "+,1,2,1,2,-"
+    assert str(fd3.raise_by(P("+,+,+,-,-,-"), 3)) == "+,1,2,1,2,-"
     with pytest.raises(InvalidRoot):
-        monoid_action(fc, P("1,2,3,3,4,4,1,2"), 5)
+        fc.raise_by(P("1,2,3,3,4,4,1,2"), 5)
 
 
 def test_mirror_moves_succeed_together():
