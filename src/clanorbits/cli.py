@@ -19,7 +19,7 @@ import sys
 from .cache import load_or_build
 from .clans import count_clans
 from .closure import OrbitPoset, quotient_poset, raising_moves_oracle
-from .errors import CacheError, ClanError
+from .errors import CacheError, ClanError, RankTooLarge
 from .family_a import FamilyA
 from .family_c import FamilyC
 from .family_d import FamilyD
@@ -37,29 +37,25 @@ def make_family(args, parser):
     return FamilyA(args.p, args.q) if args.family == "a" else FamilyC(args.p, args.q)
 
 
-def family_poset(family, args) -> tuple[OrbitPoset, OrbitPoset]:
-    """Base poset plus the view at the requested isogeny level."""
-    poset = load_or_build(family, args.cache_dir, args.max_orbits)
+def family_poset(family, args) -> OrbitPoset:
+    """The poset at the requested isogeny level."""
     fold = family.isogeny_fold(args.isogeny)
-    view = quotient_poset(poset, fold, args.isogeny) if fold is not None else poset
-    return poset, view
+    poset = load_or_build(family, args.cache_dir, args.max_orbits)
+    return quotient_poset(poset, fold, args.isogeny)
 
 
 def orbit_rows(family, poset: OrbitPoset) -> list[dict]:
+    smooth = family.verdicts(poset)
     rows = []
     for i, clan in sorted(enumerate(poset.orbits), key=lambda t: str(t[1])):
-        members = poset.members[i]
-        verdicts = {family.classify(m) for m in members}
-        if len(verdicts) != 1:
-            raise ClanError(f"classification differs inside the class of {clan}")
         form = family.fiber_form(clan)
         rows.append(
             {
                 "clan": str(clan),
-                "members": [str(m) for m in members],
+                "members": [str(m) for m in poset.members[i]],
                 "dim": poset.dims[i],
                 "closed": clan.is_all_signs(),
-                "smooth": verdicts.pop(),
+                "smooth": smooth[i],
                 "fiber_form": form.describe() if form else "",
             }
         )
@@ -74,8 +70,8 @@ def poset_dot(family, poset: OrbitPoset) -> str:
     by_dim: dict[int, list[int]] = {}
     for i, d in enumerate(poset.dims):
         by_dim.setdefault(d, []).append(i)
-    for i, clan in enumerate(poset.orbits):
-        shape = "box" if not family.classify(poset.members[i][0]) else "ellipse"
+    for i, (clan, smooth) in enumerate(zip(poset.orbits, family.verdicts(poset))):
+        shape = "ellipse" if smooth else "box"
         lines.append(f'  n{i} [label="{clan.compact()}" shape={shape}];')
     for d in sorted(by_dim):
         group = "; ".join(f"n{i}" for i in by_dim[d])
@@ -89,7 +85,7 @@ def poset_dot(family, poset: OrbitPoset) -> str:
 
 def cmd_list(args, parser) -> int:
     family = make_family(args, parser)
-    _, view = family_poset(family, args)
+    view = family_poset(family, args)
     rows = orbit_rows(family, view)
     if args.format == "json":
         print(json.dumps(rows, indent=2))
@@ -105,7 +101,7 @@ def cmd_list(args, parser) -> int:
 
 def cmd_poset(args, parser) -> int:
     family = make_family(args, parser)
-    _, view = family_poset(family, args)
+    view = family_poset(family, args)
     if args.format == "json" and not args.dot:
         from .cache import poset_to_dict
 
@@ -123,7 +119,7 @@ def cmd_poset(args, parser) -> int:
 
 def _verify_springer(args, parser) -> int:
     family = make_family(args, parser)
-    _, view = family_poset(family, args)
+    view = family_poset(family, args)
     report = cross_validate(family, view)
     ok = not report["mismatches"]
     print(
@@ -152,8 +148,10 @@ def _verify_figures(args, parser) -> int:
 def _verify_counts(args, parser) -> int:
     family = make_family(args, parser)
     if args.family == "a":
-        orbits = family.enumerate()
         expected = count_clans(args.p, args.q)
+        if args.max_orbits is not None and expected > args.max_orbits:
+            raise RankTooLarge(f"{expected} orbits exceed the cap of {args.max_orbits}")
+        orbits = family.enumerate()
         ok = len(orbits) == expected
         print(f"counts {family}: {len(orbits)} orbits vs closed form {expected}: "
               f"{'pass' if ok else 'FAIL'}")
@@ -176,24 +174,23 @@ def _verify_oracle(args, parser) -> int:
         parser.error("the raising-move oracle applies to --family a")
     family = make_family(args, parser)
     poset = load_or_build(family, args.cache_dir, args.max_orbits)
-    ids = poset.index
     n = len(poset)
     unsound = 0
-    reach = [0] * n
-    for i in sorted(range(n), key=lambda k: -poset.dims[k]):
-        r = 1 << i
-        for target in raising_moves_oracle(poset.orbits[i]):
-            j = ids[target]
+    preds: list[list[int]] = [[] for _ in range(n)]
+    for i, clan in enumerate(poset.orbits):
+        for target in raising_moves_oracle(clan):
+            j = poset.id_of(target)
             if not poset.le_ids(i, j) or i == j:
                 unsound += 1
-            r |= reach[j]
-        reach[i] = r
-    missing = sum(
-        1
-        for i in range(n)
-        for j in range(n)
-        if poset.le_ids(i, j) and not reach[i] >> j & 1
-    )
+            preds[j].append(i)
+    # back[j]: the orbits that reach j by moves, j included
+    back = [0] * n
+    for j in sorted(range(n), key=lambda k: poset.dims[k]):
+        b = 1 << j
+        for i in preds[j]:
+            b |= back[i]
+        back[j] = b
+    missing = sum((down & ~b).bit_count() for down, b in zip(poset.down, back))
     ok = unsound == 0
     print(
         f"oracle {family}: {unsound} unsound moves; move closure misses "

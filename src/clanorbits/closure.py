@@ -172,7 +172,6 @@ class OrbitPoset:
         self.covers = sorted(
             covers, key=lambda e: (e[0], e[1], e[2] is None, e[2] or 0)
         )
-        self.index = {c: i for i, c in enumerate(self.orbits)}
         self.members = [tuple(m) for m in members] if members is not None \
             else [(c,) for c in self.orbits]
         self.member_index = {
@@ -224,9 +223,6 @@ class OrbitPoset:
     def closed_below(self, clan: Clan) -> list[Clan]:
         j = self.id_of(clan)
         return [self.orbits[i] for i in self._minima if self.le_ids(i, j)]
-
-    def weak_covers(self) -> list[tuple]:
-        return [e for e in self.covers if e[2] is not None]
 
     def completed_covers(self) -> list[tuple]:
         return [e for e in self.covers if e[2] is None]
@@ -341,22 +337,25 @@ def build_poset(family: Family, max_orbits: int | None = None) -> OrbitPoset:
     return poset
 
 
-def quotient_poset(poset: OrbitPoset, fold: Callable[[Clan], Clan],
+def quotient_poset(poset: OrbitPoset, fold: Callable[[Clan], Clan] | None,
                    level: str) -> OrbitPoset:
-    """Fold a poset by an order-preserving involution on its orbits."""
+    """Fold a poset by an order-preserving involution on its orbits; with
+    no fold (`Family.isogeny_fold` found nothing to fold) the poset itself."""
+    if fold is None:
+        return poset
     rep: dict[Clan, Clan] = {}
     for c in poset.orbits:
         image = fold(c)
-        if image not in poset.index:
+        if image not in poset.member_index:
             raise ConsistencyError(f"fold image {image} left the orbit set")
-        if poset.dims[poset.index[image]] != poset.dims[poset.index[c]]:
+        if poset.dim_of(image) != poset.dim_of(c):
             raise ConsistencyError("fold does not preserve dimension")
         rep[c] = min(c, image)
     members: dict[Clan, set[Clan]] = {}
     for c, r in rep.items():
         members.setdefault(r, set()).add(c)
-    reps = sorted(members, key=lambda c: (poset.dims[poset.index[c]], str(c)))
-    dims = [poset.dims[poset.index[r]] for r in reps]
+    reps = sorted(members, key=lambda c: (poset.dim_of(c), str(c)))
+    dims = [poset.dim_of(r) for r in reps]
     covers = {
         (rep[poset.orbits[lo]], rep[poset.orbits[hi]], root)
         for lo, hi, root in poset.covers

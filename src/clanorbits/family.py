@@ -17,8 +17,8 @@ from __future__ import annotations
 from typing import Callable, Protocol
 
 from .clans import Clan, _canonicalize, avoids_bad_patterns, negate
-from .closure import lifted_double_move
-from .errors import ConsistencyError, InvalidRoot, NotClosed
+from .closure import OrbitPoset, lifted_double_move
+from .errors import ClanError, ConsistencyError, InvalidRoot, NotClosed
 
 Root = tuple[int, int, int]
 
@@ -84,25 +84,27 @@ class Family(Protocol):
         self._check(clan)
         return avoids_bad_patterns(clan) or self.fiber_form(clan) is not None
 
+    def verdicts(self, poset: OrbitPoset) -> list[bool]:
+        """`classify` per node of `poset`.  Every member of a node is
+        classified: smoothness does not depend on the isogeny level, so
+        members of one class that disagree raise `ConsistencyError`."""
+        out = []
+        for orbit, members in zip(poset.orbits, poset.members):
+            found = {self.classify(m) for m in members}
+            if len(found) != 1:
+                raise ConsistencyError(f"classification differs across the class of {orbit}")
+            out.append(found.pop())
+        return out
+
     def isogeny_fold(self, level: str) -> Callable[[Clan], Clan] | None:
         """None when orbits at the level match the simply connected ones;
         for a signature (p, q) with p = q the adjoint level folds orbits
         into sign-flip classes."""
         if level not in SIGN_FLIP_LEVELS:
-            raise ValueError(f"family {self.name} levels are {SIGN_FLIP_LEVELS}, got {level!r}")
+            raise ClanError(f"family {self.name} levels are {SIGN_FLIP_LEVELS}, got {level!r}")
         if level == "adjoint" and self.p == self.q:
             return negate
         return None
-
-    def isogeny_classes(self, level: str) -> list[tuple[Clan, ...]]:
-        """Orbit classes at the given level: the classes of `isogeny_fold`,
-        singletons when it folds nothing."""
-        fold = self.isogeny_fold(level)
-        out: dict[Clan, set[Clan]] = {}
-        for c in self.enumerate():
-            r = c if fold is None else min(c, fold(c))
-            out.setdefault(r, set()).add(c)
-        return [tuple(sorted(v)) for _, v in sorted(out.items())]
 
 
 def middle_crossings(clan: Clan) -> int:

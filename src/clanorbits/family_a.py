@@ -16,7 +16,7 @@ from __future__ import annotations
 from .clans import Clan, MINUS, PLUS, all_sign_clans, enumerate_clans, length_stat
 from .clans import avoids_bad_patterns  # noqa: F401  perfbench's tracer test patches it here
 from .closure import simple_move_a
-from .errors import InvalidRoot, NotClosed, SignatureMismatch
+from .errors import ClanError, InvalidRoot, NotClosed, SignatureMismatch
 from .family import Family
 
 
@@ -33,7 +33,7 @@ class FamilyA(Family):
 
     def __init__(self, p: int, q: int):
         if p < 0 or q < 0:
-            raise ValueError("signature parts must be nonnegative")
+            raise ClanError("signature parts must be nonnegative")
         self.p = p
         self.q = q
         self.n = p + q

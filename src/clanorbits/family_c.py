@@ -29,7 +29,7 @@ from .clans import (
     reverse_rename,
 )
 from .closure import _move
-from .errors import ConsistencyError, NotSymmetric, SignatureMismatch
+from .errors import ClanError, ConsistencyError, NotSymmetric, SignatureMismatch
 from .family import MirrorFamily, middle_crossings
 
 
@@ -76,7 +76,7 @@ class FamilyC(MirrorFamily):
 
     def __init__(self, p: int, q: int):
         if p < 0 or q < 0:
-            raise ValueError("signature parts must be nonnegative")
+            raise ClanError("signature parts must be nonnegative")
         self.p = p
         self.q = q
         self.n = p + q

@@ -33,6 +33,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .clans import (
+    CONVENTIONS,
     Clan,
     MINUS,
     PLUS,
@@ -48,7 +49,7 @@ from .clans import (
     reverse_negate_rename,
 )
 from .closure import _swap, lifted_double_move
-from .errors import ConsistencyError, NeitherAntisymmetric, NotAntisymmetric
+from .errors import ClanError, ConsistencyError, NeitherAntisymmetric, NotAntisymmetric
 from .family import MirrorFamily, middle_crossings
 
 ISOGENY_LEVELS_D = ("sc", "so", "so-prime", "adjoint")
@@ -194,7 +195,9 @@ class FamilyD(MirrorFamily):
 
     def __init__(self, n: int, convention: str = "paper"):
         if n < 1:
-            raise ValueError("rank must be at least 1")
+            raise ClanError("rank must be at least 1")
+        if convention not in CONVENTIONS:
+            raise ClanError(f"unknown convention {convention!r}; have {CONVENTIONS}")
         self.n = n
         self.convention = convention
         self.clan_length = 2 * n
@@ -278,7 +281,7 @@ class FamilyD(MirrorFamily):
         """None when orbits at the level match the simply connected ones;
         `tau` when they fold into twist classes."""
         if level not in ISOGENY_LEVELS_D:
-            raise ValueError(f"family d levels are {ISOGENY_LEVELS_D}, got {level!r}")
+            raise ClanError(f"family d levels are {ISOGENY_LEVELS_D}, got {level!r}")
         if self.n % 2 == 1 or level in ("sc", "so"):
             return None
         m = self.n // 2

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from importlib import resources
 
-from .clans import Clan, negate, parse_clan
+from .clans import Clan, parse_clan
 from .closure import OrbitPoset, build_poset, quotient_poset
 from .family_a import FamilyA
 from .family_c import FamilyC
@@ -124,10 +124,8 @@ def family_for_fixture(fx: Fixture):
 
 def poset_for_fixture(fx: Fixture):
     family = family_for_fixture(fx)
-    poset = build_poset(family)
-    if fx.fold == "negate":
-        poset = quotient_poset(poset, negate, "adjoint")
-    return family, poset
+    level = "adjoint" if fx.fold else "sc"
+    return family, quotient_poset(build_poset(family), family.isogeny_fold(level), level)
 
 
 def compare_fixture(fx: Fixture, family=None, poset: OrbitPoset | None = None) -> list[str]:
@@ -137,9 +135,8 @@ def compare_fixture(fx: Fixture, family=None, poset: OrbitPoset | None = None) -
     diffs: list[str] = []
 
     def key(clan: Clan) -> Clan:
-        if fx.fold == "negate":
-            return min(clan, negate(clan))
-        return clan
+        i = poset.member_index.get(clan)
+        return clan if i is None else poset.orbits[i]
 
     fixture_vertices = {key(v) for v in fx.vertices}
     computed_vertices = set(poset.orbits)
@@ -177,9 +174,7 @@ def compare_fixture(fx: Fixture, family=None, poset: OrbitPoset | None = None) -
 
     fixture_boxed = {key(v) for v in fx.boxed}
     computed_boxed = {
-        poset.orbits[i]
-        for i in range(len(poset))
-        if not family.classify(poset.members[i][0])
+        clan for clan, smooth in zip(poset.orbits, family.verdicts(poset)) if not smooth
     }
     for v in sorted(fixture_boxed - computed_boxed):
         diffs.append(f"boxed {v} in fixture only")

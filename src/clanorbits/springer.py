@@ -87,11 +87,7 @@ def cross_validate(family: Family, poset: OrbitPoset) -> dict:
     smooth = 0
     singular = 0
     mismatches = []
-    for i, orbit in enumerate(poset.orbits):
-        verdicts = {family.classify(m) for m in poset.members[i]}
-        if len(verdicts) != 1:
-            raise ConsistencyError(f"classification differs across the class of {orbit}")
-        by_pattern = verdicts.pop()
+    for orbit, by_pattern in zip(poset.orbits, family.verdicts(poset)):
         by_roots = rationally_smooth(family, poset, orbit)
         if by_pattern:
             smooth += 1

@@ -87,13 +87,18 @@ def test_verify_springer(capsys):
 
 def test_verify_oracle(capsys):
     code, out = run(capsys, "verify", "oracle", "--family", "a", "--p", "2", "--q", "2")
-    assert code == 0 and "0 unsound moves" in out
+    assert code == 0 and "0 unsound moves" in out and "misses 2 of" in out
+    code, out = run(capsys, "verify", "oracle", "--family", "a", "--p", "3", "--q", "3")
+    assert code == 0 and "0 unsound moves" in out and "misses 276 of" in out
 
 
 def test_max_orbits_stops_the_build(tmp_path):
     # C(4,4) has far more orbits; the cap must fire before enumeration
     assert main(["list", "--family", "c", "--p", "4", "--q", "4", "--max-orbits", "10"]) == 2
     assert main(["verify", "counts", "--family", "c", "--p", "4", "--q", "4",
+                 "--max-orbits", "10"]) == 2
+    # type A compares the closed-form count with the cap before enumerating
+    assert main(["verify", "counts", "--family", "a", "--p", "3", "--q", "3",
                  "--max-orbits", "10"]) == 2
     # a cached poset over the cap is refused too
     save_poset(build_poset(FamilyA(2, 2)), tmp_path / "a-p2-q2.json")
@@ -108,6 +113,16 @@ def test_usage_errors():
     with pytest.raises(SystemExit) as err:
         main(["verify", "springer"])  # missing --family
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["list", "--family", "a", "--p", "-1", "--q", "2"],
+    ["list", "--family", "d", "--n", "0"],
+    ["list", "--family", "a", "--p", "2", "--q", "2", "--isogeny", "so"],
+])
+def test_bad_family_input_exits_2(argv, capsys):
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 # ----------------------------------------------------------------- cache

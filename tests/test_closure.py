@@ -181,7 +181,7 @@ def test_oracle_moves_are_sound():
         poset = build_poset(FamilyA(p, q))
         for i, clan in enumerate(poset.orbits):
             for target in raising_moves_oracle(clan):
-                j = poset.index[target]
+                j = poset.id_of(target)
                 assert j != i and poset.le_ids(i, j)
 
 

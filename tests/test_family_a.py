@@ -4,7 +4,14 @@ import math
 
 import pytest
 
-from clanorbits import FamilyA, build_poset, negate, nested_open_clan, parse_clan
+from clanorbits import (
+    FamilyA,
+    build_poset,
+    negate,
+    nested_open_clan,
+    parse_clan,
+    quotient_poset,
+)
 from clanorbits.errors import NotClosed, SignatureMismatch
 
 P = parse_clan
@@ -55,17 +62,22 @@ def test_classification_is_flip_invariant():
         assert fa.classify(c) == fa.classify(negate(c))
 
 
-def test_isogeny_classes():
+def classes_at(poset, family, level):
+    return quotient_poset(poset, family.isogeny_fold(level), level).members
+
+
+def test_isogeny_classes(poset_a22):
     fa = FamilyA(2, 2)
-    classes = fa.isogeny_classes("adjoint")
+    classes = classes_at(poset_a22, fa, "adjoint")
     # 3 sign-free flip-fixed clans among 21 orbits: (21 + 3) / 2
     assert len(classes) == 12
     by_rep = {cls[0]: cls for cls in classes}
     assert by_rep[P("1,2,1,2")] == (P("1,2,1,2"),)
     assert (P("1,+,-,1"), P("1,-,+,1")) in classes
     # away from p = q every class is a singleton
-    assert all(len(c) == 1 for c in FamilyA(3, 1).isogeny_classes("adjoint"))
-    assert all(len(c) == 1 for c in fa.isogeny_classes("sc"))
+    fa31 = FamilyA(3, 1)
+    assert all(len(c) == 1 for c in classes_at(build_poset(fa31), fa31, "adjoint"))
+    assert all(len(c) == 1 for c in classes_at(poset_a22, fa, "sc"))
 
 
 def test_springer_root_data():

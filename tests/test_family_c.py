@@ -5,13 +5,15 @@ import pytest
 from clanorbits import (
     FamilyC,
     build_poset,
+    cross_validate,
     gamma_circ_c,
     middle_crossings,
-    negate,
     parse_clan,
     quotient_poset,
 )
-from clanorbits.errors import NotSymmetric
+from clanorbits.cli import orbit_rows, poset_dot
+from clanorbits.errors import ConsistencyError, NotSymmetric
+from clanorbits.fixtures import compare_fixture, load_fixture
 
 P = parse_clan
 
@@ -91,13 +93,35 @@ def test_springer_root_data():
 
 def test_isogeny_fold(poset_c22):
     fc = FamilyC(2, 2)
-    classes = fc.isogeny_classes("adjoint")
+    folded = quotient_poset(poset_c22, fc.isogeny_fold("adjoint"), "adjoint")
+    classes = folded.members
     assert len(classes) == 27
     assert sum(1 for c in classes if len(c) == 1) == 12  # sign-free clans
-    folded = quotient_poset(poset_c22, negate, "adjoint")
     boxed = [folded.orbits[i] for i in range(len(folded)) if not fc.classify(folded.orbits[i])]
     assert len(boxed) == 13
-    assert all(len(c) == 1 for c in FamilyC(2, 1).isogeny_classes("adjoint"))
+    fc21 = FamilyC(2, 1)
+    unfolded = quotient_poset(build_poset(fc21), fc21.isogeny_fold("adjoint"), "adjoint")
+    assert all(len(c) == 1 for c in unfolded.members)
+
+
+def test_verdicts_check_every_class_member(monkeypatch, poset_c22):
+    """Smoothness does not depend on the isogeny level, so every reader of
+    the verdicts refuses a class whose members disagree."""
+    fc = FamilyC(2, 2)
+    classify = FamilyC.classify
+    odd_one = P("-,+,1,1,2,2,+,-")  # not the representative of its adjoint class
+    monkeypatch.setattr(FamilyC, "classify",
+                        lambda self, clan: classify(self, clan) != (clan == odd_one))
+    folded = quotient_poset(poset_c22, fc.isogeny_fold("adjoint"), "adjoint")
+    assert odd_one in folded.member_index and odd_one not in folded.orbits
+    for check in (
+        lambda: orbit_rows(fc, folded),
+        lambda: poset_dot(fc, folded),
+        lambda: cross_validate(fc, folded),
+        lambda: compare_fixture(load_fixture("fig2")),
+    ):
+        with pytest.raises(ConsistencyError):
+            check()
 
 
 def test_restriction_of_ambient_order_small_ranks():

@@ -10,8 +10,9 @@ from clanorbits import (
     gamma_circ_d,
     negate,
     parse_clan,
+    quotient_poset,
 )
-from clanorbits.errors import InvalidRoot, NotAntisymmetric
+from clanorbits.errors import ClanError, InvalidRoot, NotAntisymmetric
 
 P = parse_clan
 
@@ -108,22 +109,31 @@ def test_springer_root_data():
     assert all(eps in (-1, 1) for (_, _, eps) in fd.positive_roots())
 
 
-def test_isogeny_ladder():
+def classes_at(poset, family, level):
+    return quotient_poset(poset, family.isogeny_fold(level), level).members
+
+
+def test_isogeny_ladder(poset_d4, poset_d3):
     fd4 = FamilyD(4)
-    assert len(fd4.isogeny_classes("sc")) == 38
-    assert len(fd4.isogeny_classes("so")) == 38
-    assert len(fd4.isogeny_classes("so-prime")) == 38  # m = 2 even
-    adjoint = fd4.isogeny_classes("adjoint")
+    assert len(classes_at(poset_d4, fd4, "sc")) == 38
+    assert len(classes_at(poset_d4, fd4, "so")) == 38
+    assert len(classes_at(poset_d4, fd4, "so-prime")) == 38  # m = 2 even
+    adjoint = classes_at(poset_d4, fd4, "adjoint")
     assert len(adjoint) == 22  # six tau-fixed clans among 38
     assert sum(1 for c in adjoint if len(c) == 1) == 6
     fd3 = FamilyD(3)
     for level in ("sc", "so", "so-prime", "adjoint"):
-        assert len(fd3.isogeny_classes(level)) == 10
+        assert len(classes_at(poset_d3, fd3, level)) == 10
     # m = 3 odd: the primed quotient already folds
     fd6 = FamilyD(6)
     assert fd6.isogeny_fold("so-prime") is not None
     with pytest.raises(ValueError):
         fd4.isogeny_fold("spin")
+
+
+def test_unknown_convention_is_rejected():
+    with pytest.raises(ClanError):
+        FamilyD(3, "bogus")
 
 
 def test_errata_forced_vertices():
