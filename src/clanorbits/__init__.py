@@ -19,6 +19,7 @@ from .clans import (
     is_antisymmetric,
     is_symmetric,
     length_stat,
+    mirror_clans,
     negate,
     parse_clan,
     reverse_negate_rename,
@@ -66,6 +67,7 @@ __all__ = [
     "is_symmetric",
     "length_stat",
     "middle_crossings",
+    "mirror_clans",
     "negate",
     "nested_open_clan",
     "parse_clan",

@@ -21,7 +21,7 @@ digit; multi-digit ids need the comma form.
 from __future__ import annotations
 
 import math
-from itertools import combinations
+from itertools import combinations, product
 from typing import Iterator, Sequence
 
 from .errors import (
@@ -34,7 +34,7 @@ from .errors import (
 PLUS = "+"
 MINUS = "-"
 
-#: cap on clan length accepted by `enumerate_clans`
+#: cap on clan length accepted by `enumerate_clans` and `mirror_clans`
 MAX_ENUM_LENGTH = 16
 
 
@@ -206,6 +206,53 @@ def enumerate_clans(p: int, q: int, max_length: int = MAX_ENUM_LENGTH) -> list[C
     return out
 
 
+def mirror_clans(n: int, opposite: bool, max_length: int = MAX_ENUM_LENGTH) -> list[Clan]:
+    """All canonical clans of length 2n equal to their own mirror image:
+    position 2n-1-i carries the sign of position i (the opposite sign
+    when `opposite`), and pairs mirror to pairs, never onto themselves.
+
+    Such a clan is fixed by its first half.  Match 2k first-half
+    positions; each matched (a, b) is either closed, the pairs (a, b)
+    and (2n-1-b, 2n-1-a), or crossing, the pairs (a, 2n-1-b) and
+    (b, 2n-1-a); sign the other positions.  Every clan comes out once.
+    Signatures are mixed: the families keep their own.
+
+    >>> [str(c) for c in mirror_clans(1, opposite=True)]
+    ['+,-', '-,+']
+    >>> sorted(str(c) for c in mirror_clans(2, opposite=False) if not c.is_all_signs())
+    ['1,1,2,2', '1,2,1,2']
+    """
+    if n < 0:
+        raise ValueError("rank must be nonnegative")
+    if 2 * n > max_length:
+        raise RankTooLarge(f"clan length {2 * n} exceeds enumeration cap {max_length}")
+    last = 2 * n - 1
+    mirror_sign = {PLUS: MINUS, MINUS: PLUS} if opposite else {PLUS: PLUS, MINUS: MINUS}
+    out = []
+    for k in range(n // 2 + 1):
+        for paired in combinations(range(n), 2 * k):
+            rest = [i for i in range(n) if i not in paired]
+            for matching in _perfect_matchings(paired):
+                for crossing in product((False, True), repeat=k):
+                    base: list = [None] * (2 * n)
+                    for pid, ((a, b), cross) in enumerate(zip(matching, crossing)):
+                        x, y = 2 * pid + 1, 2 * pid + 2
+                        base[a], base[last - a] = x, y
+                        base[b], base[last - b] = (y, x) if cross else (x, y)
+                    for signs in product((PLUS, MINUS), repeat=len(rest)):
+                        symbols = base[:]
+                        for i, s in zip(rest, signs):
+                            symbols[i] = s
+                            symbols[last - i] = mirror_sign[s]
+                        out.append(Clan(_canonicalize(symbols)))
+    return out
+
+
+def _matchings(k: int) -> int:
+    """(2k-1)!!, the number of perfect matchings on 2k points."""
+    return math.prod(range(1, 2 * k, 2))
+
+
 def count_clans(p: int, q: int) -> int:
     """Closed-form count of clans of signature (p, q).
 
@@ -215,8 +262,21 @@ def count_clans(p: int, q: int) -> int:
     n = p + q
     total = 0
     for k in range(min(p, q) + 1):
-        matchings = math.prod(range(1, 2 * k, 2)) if k else 1
-        total += math.comb(n, 2 * k) * matchings * math.comb(n - 2 * k, p - k)
+        total += math.comb(n, 2 * k) * _matchings(k) * math.comb(n - 2 * k, p - k)
+    return total
+
+
+def count_mirror_clans(n: int, p: int) -> int:
+    """Closed-form count of the clans of `mirror_clans(n, opposite=False)`
+    with signature (2p, 2(n-p)).
+
+    Sums over the k matched first-half pairs: choose their 2k positions,
+    match them, pick one of two shapes for each, then place the p-k
+    first-half plus signs.
+    """
+    total = 0
+    for k in range(min(p, n - p) + 1):
+        total += math.comb(n, 2 * k) * _matchings(k) * 2**k * math.comb(n - 2 * k, p - k)
     return total
 
 

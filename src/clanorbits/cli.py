@@ -17,7 +17,6 @@ import json
 import sys
 
 from .cache import load_or_build
-from .clans import count_clans
 from .closure import OrbitPoset, quotient_poset, raising_moves_oracle
 from .errors import CacheError, ClanError, RankTooLarge
 from .family_a import FamilyA
@@ -147,20 +146,18 @@ def _verify_figures(args, parser) -> int:
 
 def _verify_counts(args, parser) -> int:
     family = make_family(args, parser)
-    if args.family == "a":
-        expected = count_clans(args.p, args.q)
-        if args.max_orbits is not None and expected > args.max_orbits:
-            raise RankTooLarge(f"{expected} orbits exceed the cap of {args.max_orbits}")
-        orbits = family.enumerate()
-        ok = len(orbits) == expected
-        print(f"counts {family}: {len(orbits)} orbits vs closed form {expected}: "
-              f"{'pass' if ok else 'FAIL'}")
-    else:
+    expected = family.count()
+    if args.max_orbits is not None and expected > args.max_orbits:
+        raise RankTooLarge(f"{expected} orbits exceed the cap of {args.max_orbits}")
+    orbits = family.enumerate()
+    ok = len(orbits) == expected
+    line = f"counts {family}: {len(orbits)} orbits vs closed form {expected}"
+    if args.family != "a":
         poset = load_or_build(family, args.cache_dir, args.max_orbits)
-        orbits = family.enumerate()
-        ok = set(poset.orbits) == set(orbits)
-        print(f"counts {family}: {len(orbits)} orbits; move closure "
-              f"{'matches' if ok else 'DIFFERS from'} the predicate")
+        same = set(poset.orbits) == set(orbits)
+        ok = ok and same
+        line += f"; move closure {'matches' if same else 'DIFFERS from'} the predicate"
+    print(f"{line}: {'pass' if ok else 'FAIL'}")
     return 0 if ok else 1
 
 
@@ -245,7 +242,7 @@ def main(argv=None) -> int:
             "oracle": _verify_oracle,
         }[args.target]
         return target(args, parser)
-    except (ClanError, CacheError) as exc:
+    except (ClanError, CacheError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

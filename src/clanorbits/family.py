@@ -6,17 +6,18 @@ root names, sign-flip isogeny folding, and classification by pattern
 avoidance or a fiber-bundle form.
 
 `MirrorFamily` is the machinery types C and D share: clans of length
-2n doubled by a mirror, the roots e_i - e_j and e_i + e_j of a closed
-orbit with their coordinate quadruples, and simple roots below n lifted
-to a mirrored pair of adjacent moves.  Each subclass supplies only its
-move for the middle root n.
+2n doubled by a mirror, enumerated from their first half, the roots
+e_i - e_j and e_i + e_j of a closed orbit with their coordinate
+quadruples, and simple roots below n lifted to a mirrored pair of
+adjacent moves.  Each subclass supplies its mirror sign rule, its orbit
+count and its move for the middle root n.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Protocol
 
-from .clans import Clan, _canonicalize, avoids_bad_patterns, negate
+from .clans import Clan, _canonicalize, avoids_bad_patterns, mirror_clans, negate
 from .closure import OrbitPoset, lifted_double_move
 from .errors import ClanError, ConsistencyError, InvalidRoot, NotClosed
 
@@ -53,6 +54,10 @@ class Family(Protocol):
         ...
 
     def enumerate(self) -> list[Clan]: ...
+
+    def count(self) -> int:
+        """The number of orbits, in closed form: checked before any work."""
+        ...
 
     def closed_clans(self) -> list[Clan]: ...
 
@@ -116,6 +121,12 @@ def middle_crossings(clan: Clan) -> int:
 
 class MirrorFamily(Family):
     """Clans of length 2n whose position k mirrors position 2n+1-k."""
+
+    #: mirror positions carry opposite signs (type D), not equal ones (type C)
+    opposite: bool
+
+    def enumerate(self) -> list[Clan]:
+        return [c for c in mirror_clans(self.n, self.opposite) if self.contains(c)]
 
     def _middle_move(self, sym: tuple):
         """Raw symbols after the move of the middle root n, or None."""

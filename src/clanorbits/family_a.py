@@ -13,7 +13,7 @@ flip-invariant, so it descends to classes.
 
 from __future__ import annotations
 
-from .clans import Clan, MINUS, PLUS, all_sign_clans, enumerate_clans, length_stat
+from .clans import Clan, MINUS, PLUS, all_sign_clans, count_clans, enumerate_clans, length_stat
 from .clans import avoids_bad_patterns  # noqa: F401  perfbench's tracer test patches it here
 from .closure import simple_move_a
 from .errors import ClanError, InvalidRoot, NotClosed, SignatureMismatch
@@ -69,6 +69,9 @@ class FamilyA(Family):
 
     def enumerate(self) -> list[Clan]:
         return enumerate_clans(self.p, self.q)
+
+    def count(self) -> int:
+        return count_clans(self.p, self.q)
 
     def closed_clans(self) -> list[Clan]:
         return all_sign_clans(self.n, self.p)

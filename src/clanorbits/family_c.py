@@ -15,6 +15,7 @@ Smooth and rationally smooth coincide, at both isogeny levels.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .clans import (
     Clan,
@@ -23,7 +24,7 @@ from .clans import (
     all_sign_clans,
     avoids_bad_patterns,
     concat,
-    enumerate_clans,
+    count_mirror_clans,
     is_symmetric,
     length_stat,
     reverse_rename,
@@ -71,8 +72,30 @@ class FiberFormC:
         )
 
 
+@lru_cache(maxsize=None)
+def fiber_form_c(clan: Clan) -> FiberFormC | None:
+    """Search all core sizes for a smooth-fiber decomposition of a
+    mirror-symmetric clan; its signature (2p, 2q) fixes each core's."""
+    n = len(clan) // 2
+    p, q = (half // 2 for half in clan.signature)
+    for m in range(0, n + 1):
+        try:
+            prefix = Clan.from_symbols(clan.symbols[:m])
+        except ValueError:
+            continue
+        r, s = prefix.signature
+        core_p, core_q = p - r, q - s
+        if core_p < 0 or core_q < 0:
+            continue
+        core = gamma_circ_c(core_p, core_q)
+        if concat(prefix, core, reverse_rename(prefix)) == clan and avoids_bad_patterns(prefix):
+            return FiberFormC(prefix, core, r, s, core_p, core_q)
+    return None
+
+
 class FamilyC(MirrorFamily):
     name = "c"
+    opposite = False
 
     def __init__(self, p: int, q: int):
         if p < 0 or q < 0:
@@ -115,8 +138,8 @@ class FamilyC(MirrorFamily):
     def _middle_move(self, sym: tuple):
         return _move(sym, self.n - 1)
 
-    def enumerate(self) -> list[Clan]:
-        return [c for c in enumerate_clans(2 * self.p, 2 * self.q) if is_symmetric(c)]
+    def count(self) -> int:
+        return count_mirror_clans(self.n, self.p)
 
     def closed_clans(self) -> list[Clan]:
         out = []
@@ -128,20 +151,5 @@ class FamilyC(MirrorFamily):
         return gamma_circ_c(self.p, self.q)
 
     def fiber_form(self, clan: Clan) -> FiberFormC | None:
-        """Search all core sizes for a smooth-fiber decomposition."""
         self._check(clan)
-        n = self.n
-        for m in range(0, n + 1):
-            prefix_syms = clan.symbols[:m]
-            try:
-                prefix = Clan.from_symbols(prefix_syms)
-            except ValueError:
-                continue
-            r, s = prefix.signature
-            core_p, core_q = self.p - r, self.q - s
-            if core_p < 0 or core_q < 0:
-                continue
-            core = gamma_circ_c(core_p, core_q)
-            if concat(prefix, core, reverse_rename(prefix)) == clan and avoids_bad_patterns(prefix):
-                return FiberFormC(prefix, core, r, s, core_p, core_q)
-        return None
+        return fiber_form_c(clan)

@@ -42,7 +42,7 @@ from .clans import (
     all_sign_clans,
     avoids_bad_patterns,
     concat,
-    enumerate_clans,
+    count_mirror_clans,
     is_antisymmetric,
     length_stat,
     negate,
@@ -192,6 +192,7 @@ def fiber_form_d(clan: Clan) -> FiberFormD | None:
 
 class FamilyD(MirrorFamily):
     name = "d"
+    opposite = True
 
     def __init__(self, n: int, convention: str = "paper"):
         if n < 1:
@@ -235,12 +236,12 @@ class FamilyD(MirrorFamily):
         moved = lifted_double_move(_swap(sym, n - 1, n), n - 2, n)
         return None if moved is None else _swap(moved, n - 1, n)
 
-    def enumerate(self) -> list[Clan]:
-        return [
-            c
-            for c in enumerate_clans(self.n, self.n)
-            if is_antisymmetric(c, self.convention)
-        ]
+    def count(self) -> int:
+        # the first half fixes a mirror clan under either sign rule, so
+        # opposite-sign ones are as many as equal-sign ones of every
+        # signature; flipping a first-half sign, or the shape of a matched
+        # pair, flips the half parity, so each convention keeps half
+        return sum(count_mirror_clans(self.n, p) for p in range(self.n + 1)) // 2
 
     def closed_clans(self) -> list[Clan]:
         want = 0 if self.convention == "paper" else self.n % 2

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
@@ -77,6 +78,13 @@ def test_verify_counts(capsys):
     assert code == 0 and "21" in out
 
 
+def test_verify_counts_checks_the_closed_form(capsys):
+    code, out = run(capsys, "verify", "counts", "--family", "d", "--n", "5")
+    assert code == 0 and "156 orbits vs closed form 156; move closure matches" in out
+    code, out = run(capsys, "verify", "counts", "--family", "c", "--p", "2", "--q", "1")
+    assert code == 0 and "9 orbits vs closed form 9; move closure matches" in out
+
+
 def test_verify_springer(capsys):
     code, out = run(capsys, "verify", "springer", "--family", "a", "--p", "1", "--q", "1")
     assert code == 0 and "0 mismatches" in out
@@ -106,6 +114,17 @@ def test_max_orbits_stops_the_build(tmp_path):
                  "--cache-dir", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["list", "--family", "c", "--p", "5", "--q", "5"],  # over the length cap
+    ["list", "--family", "a", "--p", "7", "--q", "7", "--max-orbits", "10"],
+])
+def test_oversized_input_fails_fast(argv, capsys):
+    start = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - start < 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_usage_errors():
     with pytest.raises(SystemExit) as err:
         main(["list", "--family", "d"])  # missing --n
@@ -122,6 +141,16 @@ def test_usage_errors():
 ])
 def test_bad_family_input_exits_2(argv, capsys):
     assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_unwritable_paths_exit_2(tmp_path, capsys):
+    family = ["--family", "a", "--p", "1", "--q", "1"]
+    assert main(["poset", *family, "--dot", str(tmp_path / "missing" / "x.dot")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    assert main(["list", *family, "--cache-dir", str(afile / "sub")]) == 2
     assert capsys.readouterr().err.startswith("error: ")
 
 

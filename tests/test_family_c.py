@@ -6,13 +6,16 @@ from clanorbits import (
     FamilyC,
     build_poset,
     cross_validate,
+    enumerate_clans,
     gamma_circ_c,
+    is_symmetric,
     middle_crossings,
     parse_clan,
     quotient_poset,
 )
 from clanorbits.cli import orbit_rows, poset_dot
 from clanorbits.errors import ConsistencyError, NotSymmetric
+from clanorbits.family_c import fiber_form_c
 from clanorbits.fixtures import compare_fixture, load_fixture
 
 P = parse_clan
@@ -23,6 +26,34 @@ def test_enumerate_counts():
     assert [str(c) for c in FamilyC(1, 0).enumerate()] == ["+,+"]
     got = {str(c) for c in FamilyC(1, 1).enumerate()}
     assert got == {"+,-,-,+", "-,+,+,-", "1,1,2,2", "1,2,1,2"}
+
+
+def test_enumeration_against_the_filter():
+    """The first-half generator lists exactly the symmetric clans of the
+    doubled signature, the definition, each once."""
+    for n in range(7):
+        for p in range(n + 1):
+            got = FamilyC(p, n - p).enumerate()
+            assert len(got) == len(set(got))
+            assert set(got) == {c for c in enumerate_clans(2 * p, 2 * (n - p)) if is_symmetric(c)}
+
+
+def test_count_is_the_closed_form():
+    assert [FamilyC(p, q).count() for p, q in ((3, 3), (4, 3), (4, 4))] == [680, 2555, 14630]
+    for p in range(5):
+        for q in range(5):
+            assert FamilyC(p, q).count() == len(FamilyC(p, q).enumerate())
+
+
+def test_build_poset_c43():
+    poset = build_poset(FamilyC(4, 3))
+    assert (len(poset), len(poset.covers)) == (2555, 12030)
+
+
+def test_fiber_form_searched_once_per_orbit(poset_c22):
+    fiber_form_c.cache_clear()
+    orbit_rows(FamilyC(2, 2), poset_c22)
+    assert fiber_form_c.cache_info().misses <= len(poset_c22)
 
 
 def test_gamma_circ_examples():

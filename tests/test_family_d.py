@@ -6,8 +6,10 @@ from clanorbits import (
     FamilyD,
     build_poset,
     compress,
+    enumerate_clans,
     expand_compressed,
     gamma_circ_d,
+    is_antisymmetric,
     negate,
     parse_clan,
     quotient_poset,
@@ -28,6 +30,30 @@ def test_enumeration_matches_move_closure():
     # build_poset asserts the seeded move closure equals the predicate
     for n in (2, 3, 4):
         assert len(build_poset(FamilyD(n))) == len(FamilyD(n).enumerate())
+
+
+def test_enumeration_against_the_filter():
+    """The first-half generator lists exactly the antisymmetric clans of
+    signature (n, n) in the family's parity class, the definition, each once."""
+    for n in range(1, 7):
+        clans = enumerate_clans(n, n)
+        for convention in ("paper", "figure"):
+            got = FamilyD(n, convention).enumerate()
+            assert len(got) == len(set(got))
+            assert set(got) == {c for c in clans if is_antisymmetric(c, convention)}
+
+
+def test_count_is_the_closed_form():
+    assert [FamilyD(n).count() for n in (6, 7, 8)] == [692, 3256, 16200]
+    for n in range(1, 9):
+        for convention in ("paper", "figure"):
+            family = FamilyD(n, convention)
+            assert family.count() == len(family.enumerate())
+
+
+def test_build_poset_d7():
+    poset = build_poset(FamilyD(7))
+    assert (len(poset), len(poset.covers)) == (3256, 15716)
 
 
 def test_gamma_circ_examples():
