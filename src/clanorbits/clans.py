@@ -34,7 +34,7 @@ from .errors import (
 PLUS = "+"
 MINUS = "-"
 
-#: cap on clan length accepted by `enumerate_clans` and `mirror_clans`
+#: cap on clan length accepted by the enumerators and their closed-form counts
 MAX_ENUM_LENGTH = 16
 
 
@@ -186,8 +186,7 @@ def enumerate_clans(p: int, q: int, max_length: int = MAX_ENUM_LENGTH) -> list[C
     if p < 0 or q < 0:
         raise ValueError("signature parts must be nonnegative")
     n = p + q
-    if n > max_length:
-        raise RankTooLarge(f"clan length {n} exceeds enumeration cap {max_length}")
+    _check_length(n, max_length)
     out = []
     for k in range(min(p, q) + 1):
         for pair_positions in combinations(range(n), 2 * k):
@@ -206,7 +205,7 @@ def enumerate_clans(p: int, q: int, max_length: int = MAX_ENUM_LENGTH) -> list[C
     return out
 
 
-def mirror_clans(n: int, opposite: bool, max_length: int = MAX_ENUM_LENGTH) -> list[Clan]:
+def mirror_clans(n: int, opposite: bool) -> list[Clan]:
     """All canonical clans of length 2n equal to their own mirror image:
     position 2n-1-i carries the sign of position i (the opposite sign
     when `opposite`), and pairs mirror to pairs, never onto themselves.
@@ -224,8 +223,7 @@ def mirror_clans(n: int, opposite: bool, max_length: int = MAX_ENUM_LENGTH) -> l
     """
     if n < 0:
         raise ValueError("rank must be nonnegative")
-    if 2 * n > max_length:
-        raise RankTooLarge(f"clan length {2 * n} exceeds enumeration cap {max_length}")
+    _check_length(2 * n)
     last = 2 * n - 1
     mirror_sign = {PLUS: MINUS, MINUS: PLUS} if opposite else {PLUS: PLUS, MINUS: MINUS}
     out = []
@@ -248,6 +246,11 @@ def mirror_clans(n: int, opposite: bool, max_length: int = MAX_ENUM_LENGTH) -> l
     return out
 
 
+def _check_length(length: int, max_length: int = MAX_ENUM_LENGTH) -> None:
+    if length > max_length:
+        raise RankTooLarge(f"clan length {length} exceeds enumeration cap {max_length}")
+
+
 def _matchings(k: int) -> int:
     """(2k-1)!!, the number of perfect matchings on 2k points."""
     return math.prod(range(1, 2 * k, 2))
@@ -257,9 +260,12 @@ def count_clans(p: int, q: int) -> int:
     """Closed-form count of clans of signature (p, q).
 
     Sums over the number of pairs k: choose the 2k paired positions,
-    match them ((2k-1)!! ways), then place p-k plus signs.
+    match them ((2k-1)!! ways), then place p-k plus signs.  Refuses
+    the lengths `enumerate_clans` refuses, so a count taken first
+    stands in for the enumeration's cap.
     """
     n = p + q
+    _check_length(n)
     total = 0
     for k in range(min(p, q) + 1):
         total += math.comb(n, 2 * k) * _matchings(k) * math.comb(n - 2 * k, p - k)
@@ -272,8 +278,9 @@ def count_mirror_clans(n: int, p: int) -> int:
 
     Sums over the k matched first-half pairs: choose their 2k positions,
     match them, pick one of two shapes for each, then place the p-k
-    first-half plus signs.
+    first-half plus signs.  Refuses the lengths `mirror_clans` refuses.
     """
+    _check_length(2 * n)
     total = 0
     for k in range(min(p, n - p) + 1):
         total += math.comb(n, 2 * k) * _matchings(k) * 2**k * math.comb(n - 2 * k, p - k)

@@ -252,13 +252,13 @@ def weak_order_graph(family: Family, max_orbits: int | None = None):
 
     Returns (dims, edges): a dict clan -> dimension and the list of
     labeled weak edges.  Verifies the harvested orbit set against the
-    family's own enumeration and the +1 grading of every edge.  Before
-    the walk, the closed-form count meets `max_orbits` and the
-    enumeration its length cap, so oversized input fails at once.
+    family's own enumeration and the +1 grading of every edge.  The
+    closed-form count, taken before the walk, meets the enumeration's
+    length cap and `max_orbits`, so oversized input fails at once.
     """
-    if max_orbits is not None and (total := family.count()) > max_orbits:
+    total = family.count()
+    if max_orbits is not None and total > max_orbits:
         raise RankTooLarge(f"{total} orbits exceed the cap of {max_orbits}")
-    expected = set(family.enumerate())
     dims: dict[Clan, int] = {}
     for c in family.closed_clans():
         dims[c] = family.dimension(c)
@@ -279,6 +279,7 @@ def weak_order_graph(family: Family, max_orbits: int | None = None):
                 if dims[raised] != base + 1:
                     raise NotGraded(f"{clan} -{root}-> {raised} is not a +1 edge")
         frontier = nxt
+    expected = set(family.enumerate())
     if set(dims) != expected:
         missing = expected - set(dims)
         extra = set(dims) - expected

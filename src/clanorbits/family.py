@@ -56,7 +56,8 @@ class Family(Protocol):
     def enumerate(self) -> list[Clan]: ...
 
     def count(self) -> int:
-        """The number of orbits, in closed form: checked before any work."""
+        """The number of orbits, in closed form: checked before any work.
+        Raises `RankTooLarge` where `enumerate` would."""
         ...
 
     def closed_clans(self) -> list[Clan]: ...

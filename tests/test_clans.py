@@ -84,6 +84,8 @@ def test_enumerate_counts_match_figures():
 def test_enumerate_cap():
     with pytest.raises(RankTooLarge):
         enumerate_clans(10, 7)
+    with pytest.raises(RankTooLarge):
+        count_clans(10, 7)
 
 
 def _brute_clans(n: int) -> list[Clan]:

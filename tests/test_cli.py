@@ -85,6 +85,18 @@ def test_verify_counts_checks_the_closed_form(capsys):
     assert code == 0 and "9 orbits vs closed form 9; move closure matches" in out
 
 
+def test_verify_counts_reports_a_disagreement(monkeypatch, tmp_path, capsys):
+    """An enumeration that misses an orbit fails the check with exit 1 and
+    a FAIL line, whether the move closure is built or read from a cache."""
+    family = ["--family", "c", "--p", "1", "--q", "1"]
+    assert main(["verify", "counts", *family, "--cache-dir", str(tmp_path)]) == 0
+    full = FamilyC.enumerate
+    monkeypatch.setattr(FamilyC, "enumerate", lambda self: full(self)[1:])
+    for cache in ([], ["--cache-dir", str(tmp_path)]):
+        code, out = run(capsys, "verify", "counts", *family, *cache)
+        assert code == 1 and "move closure DIFFERS from the predicate: FAIL" in out
+
+
 def test_verify_springer(capsys):
     code, out = run(capsys, "verify", "springer", "--family", "a", "--p", "1", "--q", "1")
     assert code == 0 and "0 mismatches" in out
