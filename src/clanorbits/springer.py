@@ -9,8 +9,14 @@ dim O - dim O_cl, the closure of O is not rationally smooth.
 
 In these families the test is sharp: an orbit closure is rationally
 smooth (equivalently smooth) iff no closed orbit below it violates the
-inequality.  `cross_validate` checks this against the pattern-based
-classifiers orbit by orbit.
+inequality.
+
+Two paths compute the count.  `springer_report` derives it for one
+(orbit, closed orbit) pair and lists the roots: it is the explain path
+and the oracle of the tests.  `cross_validate` checks every orbit
+against the pattern-based classifiers; it raises each closed orbit by
+its roots once (`raised_masks`), as bitmasks over node ids, so the
+count for an orbit is a popcount against its down-set (`root_count`).
 
 Everything here also runs on isogeny-quotient posets: nodes then carry
 several clans, the closed node's representative drives the root data,
@@ -19,6 +25,7 @@ and containment is read off the quotient order.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .clans import Clan
@@ -80,15 +87,55 @@ def rationally_smooth(family: Family, poset: OrbitPoset, orbit: Clan) -> bool:
     )
 
 
+def raised_masks(family: Family, poset: OrbitPoset) -> dict[int, tuple[int, ...]]:
+    """For each closed node id, layered masks over node ids: bit m of
+    the k-th layer (from 1) is set when at least k noncompact roots raise
+    the closed node to node m, so node m counts once per root that
+    reaches it, not once in all."""
+    out = {}
+    for closed in poset.minima():
+        cid = poset.id_of(closed)
+        if not closed.is_all_signs():
+            raise NotClosed(f"{closed} is not a closed orbit")
+        hits: Counter[int] = Counter()
+        for root in family.positive_roots():
+            if not family.is_noncompact(closed, root):
+                continue
+            mid = poset.id_of(family.springer_move(closed, root))
+            if poset.dims[mid] <= poset.dims[cid]:
+                raise ConsistencyError(f"raising root {root} failed to raise {closed}")
+            hits[mid] += 1
+        layers = [0] * max(hits.values(), default=0)
+        for mid, k in hits.items():
+            for layer in range(k):
+                layers[layer] |= 1 << mid
+        out[cid] = tuple(layers)
+    return out
+
+
+def root_count(layers: tuple[int, ...], down: int) -> int:
+    """The number of roots raising a closed node into a down-set: equal
+    to `springer_report(...).s_size` for the orbit whose down-set it is."""
+    return sum((layer & down).bit_count() for layer in layers)
+
+
 def cross_validate(family: Family, poset: OrbitPoset) -> dict:
     """Compare the pattern classifier against the root-counting test on
     every orbit.  Mismatches are reported, not raised; the families here
     are expected to produce none."""
+    verdicts = family.verdicts(poset)
+    masks = raised_masks(family, poset)
+    closed_bits = sum(1 << cid for cid in masks)
+    dims = poset.dims
     smooth = 0
     singular = 0
     mismatches = []
-    for orbit, by_pattern in zip(poset.orbits, family.verdicts(poset)):
-        by_roots = rationally_smooth(family, poset, orbit)
+    for orbit, by_pattern, down, dim in zip(poset.orbits, verdicts, poset.down, dims):
+        below = down & closed_bits  # closed nodes sort first: a short int
+        by_roots = not any(
+            below >> cid & 1 and root_count(layers, down) > dim - dims[cid]
+            for cid, layers in masks.items()
+        )
         if by_pattern:
             smooth += 1
         else:

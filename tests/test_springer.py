@@ -15,7 +15,8 @@ from clanorbits import (
     rationally_smooth,
     springer_report,
 )
-from clanorbits.errors import NotBelow, NotClosed
+from clanorbits.errors import ConsistencyError, NotBelow, NotClosed, UnknownOrbit
+from clanorbits.springer import raised_masks, root_count
 
 P = parse_clan
 
@@ -121,3 +122,69 @@ def test_springer_moves_shape(poset_a22):
     data = raised_by_roots(fd, P("+,-,+,-"))
     assert ((1, 2, -1), P("1,1,2,2")) in data
     assert all(eps == -1 for ((_, _, eps), _) in data)
+
+
+def views(family, base, levels):
+    for level in levels:
+        yield level, quotient_poset(base, family.isogeny_fold(level), level)
+
+
+def test_mask_counts_match_reports(poset_a33, poset_c22, poset_d4):
+    # springer_report is the oracle of the popcount on every pair
+    fd5 = FamilyD(5)
+    cases = [
+        (FamilyA(3, 3), poset_a33, ("sc", "adjoint")),
+        (FamilyC(2, 2), poset_c22, ("sc", "adjoint")),
+        (fd5, build_poset(fd5), ("sc", "so", "so-prime", "adjoint")),
+        (FamilyD(4), poset_d4, ("so", "so-prime")),
+    ]
+    for family, base, levels in cases:
+        for level, view in views(family, base, levels):
+            masks = raised_masks(family, view)
+            assert set(masks) == {view.id_of(c) for c in view.minima()}
+            pairs = 0
+            for oid, orbit in enumerate(view.orbits):
+                for cid, layers in masks.items():
+                    if not view.le_ids(cid, oid):
+                        continue
+                    report = springer_report(family, view, orbit, view.orbits[cid])
+                    assert root_count(layers, view.down[oid]) == report.s_size, (level, orbit)
+                    pairs += 1
+            assert pairs >= len(view.orbits)
+
+
+def test_raised_masks_guard_the_moves(poset_a22, monkeypatch):
+    fa = FamilyA(2, 2)
+    monkeypatch.setattr(FamilyA, "springer_move", lambda self, closed, root: closed)
+    with pytest.raises(ConsistencyError):
+        cross_validate(fa, poset_a22)
+    monkeypatch.setattr(FamilyA, "springer_move", lambda self, closed, root: P("+,+,+,-"))
+    with pytest.raises(UnknownOrbit):
+        cross_validate(fa, poset_a22)
+
+
+def test_mask_counts_keep_root_multiplicity(poset_a22, monkeypatch):
+    # every root of every closed orbit lands on one node: counted per root
+    fa = FamilyA(2, 2)
+    monkeypatch.setattr(FamilyA, "springer_move", lambda self, closed, root: P("1,1,-,+"))
+    masks = raised_masks(fa, poset_a22)
+    top = poset_a22.id_of(fa.open_clan())
+    for cid, layers in masks.items():
+        report = springer_report(fa, poset_a22, fa.open_clan(), poset_a22.orbits[cid])
+        assert report.s_size == len(layers) > 1
+        assert root_count(layers, poset_a22.down[top]) == report.s_size
+
+
+@pytest.mark.parametrize(
+    "family, expected",
+    [
+        (FamilyC(3, 3), {"sc": (680, 522), "adjoint": (400, 317)}),
+        (FamilyD(6), {"sc": (692, 460), "adjoint": (376, 257)}),
+    ],
+    ids=["C(3,3)", "D(6)"],
+)
+def test_cross_validation_at_mirror_sizes(family, expected):
+    for level, view in views(family, build_poset(family), expected):
+        rep = cross_validate(family, view)
+        got = (rep["orbits"], rep["not_rationally_smooth"], rep["mismatches"])
+        assert got == (*expected[level], [])
