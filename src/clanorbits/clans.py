@@ -1,4 +1,4 @@
-"""Clans: involutions with signed fixed points, kept as canonical strings.
+"""Clans: involutions with signed fixed points, stored by mate position.
 
 A clan of signature ``(p, q)`` is a string of length ``p + q`` whose
 entries are ``'+'``, ``'-'`` or natural numbers, with every number
@@ -8,14 +8,20 @@ entries are the signed fixed points.  The number of distinct pairs plus
 the number of ``'+'`` entries is ``p``; pairs plus ``'-'`` entries is
 ``q``.
 
-Pair labels are opaque: only "same number" matters.  Clans are stored
-canonically, with pair ids renumbered 1, 2, 3, ... in order of first
-occurrence, so ``2,2,5,5`` and ``1,1,2,2`` are the same clan and
-equality is tuple equality.
+Pair labels are opaque: only "same number" matters.  A clan is stored
+as its *code*, one slot per position: the sign at a signed fixed point,
+the 0-based position of the mate at a pair.  The code names no labels,
+so it is canonical by construction: ``2,2,5,5`` and ``1,1,2,2`` both
+store ``(1, 0, 3, 2)``, equality is tuple equality, and a move edits a
+few slots without relabelling the rest.  The labelled form
+(`Clan.symbols`, pair ids 1, 2, 3, ... in order of first occurrence) is
+derived from the code once per clan, for the text format and the code
+that slices clans into blocks.
 
-Text format: comma-separated tokens (``1,+,-,1``).  A compact digit form
-without commas (``1+-1``) is accepted whenever every pair id is a single
-digit; multi-digit ids need the comma form.
+Text format, unchanged by the storage: comma-separated tokens
+(``1,+,-,1``).  A compact digit form without commas (``1+-1``) is
+accepted whenever every pair id is a single digit; multi-digit ids need
+the comma form.
 """
 
 from __future__ import annotations
@@ -38,102 +44,98 @@ MINUS = "-"
 MAX_ENUM_LENGTH = 16
 
 
-def _canonicalize(symbols) -> tuple:
-    relabel: dict[int, int] = {}
-    out = []
-    for s in symbols:
-        if s == PLUS or s == MINUS:
-            out.append(s)
-        else:
-            if s not in relabel:
-                relabel[s] = len(relabel) + 1
-            out.append(relabel[s])
-    return tuple(out)
-
-
 class Clan:
-    """An immutable clan in canonical form.
+    """An immutable clan, stored as its code.
 
-    Construct via :meth:`from_symbols` or :func:`parse_clan`; the bare
-    constructor trusts its argument to be canonical already.
+    ``code[i]`` is ``'+'`` or ``'-'`` at a signed fixed point and the
+    0-based position of the mate at a pair.  Construct via
+    :meth:`from_symbols` or :func:`parse_clan`; the bare constructor
+    trusts its argument to be a valid code (mates point at each other).
     """
 
-    __slots__ = ("symbols", "_mates", "_sig")
+    __slots__ = ("code", "_symbols")
 
-    def __init__(self, symbols: tuple):
-        self.symbols = symbols
-        self._mates = None
-        self._sig = None
+    def __init__(self, code: tuple):
+        self.code = code
+        self._symbols = None
 
     @classmethod
     def from_symbols(cls, symbols: Sequence) -> "Clan":
-        counts: dict[int, int] = {}
-        for s in symbols:
+        """The clan of a labelled string: signs, and pair ids occurring twice."""
+        code = list(symbols)
+        first: dict[int, int] = {}
+        bad = set()
+        for i, s in enumerate(symbols):
             if s == PLUS or s == MINUS:
                 continue
             if not isinstance(s, int) or s < 1:
                 raise MalformedToken(f"clan entry must be '+', '-' or a positive integer, got {s!r}")
-            counts[s] = counts.get(s, 0) + 1
-        bad = [k for k, c in counts.items() if c != 2]
+            j = first.get(s)
+            if j is None:
+                first[s] = i
+                code[i] = None
+            elif code[j] is None:
+                code[i], code[j] = j, i
+            else:
+                bad.add(s)
+        bad.update(s for s, j in first.items() if code[j] is None)
         if bad:
             raise PairCountNotTwo(f"pair ids {sorted(bad)} do not occur exactly twice")
-        return cls(_canonicalize(symbols))
+        return cls(tuple(code))
+
+    @property
+    def symbols(self) -> tuple:
+        """The labelled form: pair ids 1, 2, 3, ... in order of first
+        occurrence.  Derived from the code on first use, then kept."""
+        if self._symbols is None:
+            out = list(self.code)
+            label = 0
+            for i, m in enumerate(self.code):
+                if isinstance(m, int):
+                    if m > i:
+                        label += 1
+                        out[i] = label
+                    else:
+                        out[i] = out[m]
+            self._symbols = tuple(out)
+        return self._symbols
 
     @property
     def mates(self) -> tuple:
         """mates[i] is the position paired with i, or -1 at a sign."""
-        if self._mates is None:
-            first: dict[int, int] = {}
-            mates = [-1] * len(self.symbols)
-            for i, s in enumerate(self.symbols):
-                if isinstance(s, int):
-                    if s in first:
-                        j = first[s]
-                        mates[i] = j
-                        mates[j] = i
-                    else:
-                        first[s] = i
-            self._mates = tuple(mates)
-        return self._mates
+        return tuple(m if isinstance(m, int) else -1 for m in self.code)
 
     @property
     def pairs(self) -> tuple:
         """Pair positions (i, j) with i < j, 0-based, ordered by i."""
-        m = self.mates
-        return tuple((i, m[i]) for i in range(len(m)) if m[i] > i)
+        return tuple((i, m) for i, m in enumerate(self.code) if isinstance(m, int) and m > i)
 
     @property
     def signature(self) -> tuple[int, int]:
-        if self._sig is None:
-            npair = nplus = nminus = 0
-            for s in self.symbols:
-                if s == PLUS:
-                    nplus += 1
-                elif s == MINUS:
-                    nminus += 1
-                else:
-                    npair += 1
-            npair //= 2
-            self._sig = (npair + nplus, npair + nminus)
-        return self._sig
+        code = self.code
+        nplus = code.count(PLUS)
+        nminus = code.count(MINUS)
+        npair = (len(code) - nplus - nminus) // 2
+        return (npair + nplus, npair + nminus)
 
     def is_all_signs(self) -> bool:
-        return all(not isinstance(s, int) for s in self.symbols)
+        code = self.code
+        return code.count(PLUS) + code.count(MINUS) == len(code)
 
     def compact(self) -> str:
         """Digit-string form, falling back to comma form for ids > 9."""
-        if any(isinstance(s, int) and s > 9 for s in self.symbols):
+        if len(self.pairs) > 9:
             return str(self)
         return "".join(str(s) for s in self.symbols)
 
     def __len__(self) -> int:
-        return len(self.symbols)
+        return len(self.code)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Clan) and self.symbols == other.symbols
+        return isinstance(other, Clan) and self.code == other.code
 
     def __hash__(self) -> int:
-        return hash(self.symbols)
+        return hash(self.code)
 
     def __lt__(self, other: "Clan") -> bool:
         return str(self) < str(other)
@@ -182,7 +184,7 @@ def _perfect_matchings(positions: tuple) -> Iterator[tuple]:
 
 
 def enumerate_clans(p: int, q: int, max_length: int = MAX_ENUM_LENGTH) -> list[Clan]:
-    """All canonical clans of signature (p, q)."""
+    """All clans of signature (p, q)."""
     if p < 0 or q < 0:
         raise ValueError("signature parts must be nonnegative")
     n = p + q
@@ -192,21 +194,19 @@ def enumerate_clans(p: int, q: int, max_length: int = MAX_ENUM_LENGTH) -> list[C
         for pair_positions in combinations(range(n), 2 * k):
             rest = [i for i in range(n) if i not in pair_positions]
             for matching in _perfect_matchings(pair_positions):
-                base: list = [None] * n
-                for pid, (i, j) in enumerate(matching, start=1):
-                    base[i] = base[j] = pid
+                base: list = [MINUS] * n
+                for i, j in matching:
+                    base[i], base[j] = j, i
                 for plus_positions in combinations(rest, p - k):
-                    plus = set(plus_positions)
-                    symbols = tuple(
-                        base[i] if base[i] is not None else (PLUS if i in plus else MINUS)
-                        for i in range(n)
-                    )
-                    out.append(Clan(_canonicalize(symbols)))
+                    code = base[:]
+                    for i in plus_positions:
+                        code[i] = PLUS
+                    out.append(Clan(tuple(code)))
     return out
 
 
 def mirror_clans(n: int, opposite: bool) -> list[Clan]:
-    """All canonical clans of length 2n equal to their own mirror image:
+    """All clans of length 2n equal to their own mirror image:
     position 2n-1-i carries the sign of position i (the opposite sign
     when `opposite`), and pairs mirror to pairs, never onto themselves.
 
@@ -233,16 +233,17 @@ def mirror_clans(n: int, opposite: bool) -> list[Clan]:
             for matching in _perfect_matchings(paired):
                 for crossing in product((False, True), repeat=k):
                     base: list = [None] * (2 * n)
-                    for pid, ((a, b), cross) in enumerate(zip(matching, crossing)):
-                        x, y = 2 * pid + 1, 2 * pid + 2
-                        base[a], base[last - a] = x, y
-                        base[b], base[last - b] = (y, x) if cross else (x, y)
+                    for (a, b), cross in zip(matching, crossing):
+                        # a pairs with b, or with the mirror of b
+                        c = last - b if cross else b
+                        base[a], base[c] = c, a
+                        base[last - a], base[last - c] = last - c, last - a
                     for signs in product((PLUS, MINUS), repeat=len(rest)):
-                        symbols = base[:]
+                        code = base[:]
                         for i, s in zip(rest, signs):
-                            symbols[i] = s
-                            symbols[last - i] = mirror_sign[s]
-                        out.append(Clan(_canonicalize(symbols)))
+                            code[i] = s
+                            code[last - i] = mirror_sign[s]
+                        out.append(Clan(tuple(code)))
     return out
 
 
@@ -296,11 +297,14 @@ def length_stat(clan: Clan) -> int:
     >>> length_stat(parse_clan("1,2,1,2"))
     3
     """
-    ps = clan.pairs
+    code = clan.code
     total = 0
-    for i, j in ps:
-        inner = sum(1 for s, t in ps if s < i < t < j)
-        total += (j - i) - inner
+    for i, j in enumerate(code):
+        if isinstance(j, int) and j > i:
+            total += j - i
+            for s in code[i + 1 : j]:
+                if isinstance(s, int) and s < i:  # its pair started before i
+                    total -= 1
     return total
 
 
@@ -312,13 +316,11 @@ def includes_pattern(clan: Clan, pattern: Clan) -> bool:
     mates of one clan pair, in the same relative positions.  Selecting
     one mate of a clan pair without the other never matches.
     """
-    g = clan.symbols
-    p = pattern.symbols
+    g = clan.code
+    p = pattern.code
     m, n = len(p), len(g)
     if m > n:
         return False
-    gm = clan.mates
-    pm = pattern.mates
     chosen = [0] * m
 
     def extend(k: int, start: int) -> bool:
@@ -328,14 +330,14 @@ def includes_pattern(clan: Clan, pattern: Clan) -> bool:
             return False
         want = p[k]
         if isinstance(want, int):
-            if pm[k] < k:
-                gi = gm[chosen[pm[k]]]
+            if want < k:
+                gi = g[chosen[want]]
                 if gi < start:
                     return False
                 chosen[k] = gi
                 return extend(k + 1, gi + 1)
             for gi in range(start, n):
-                if isinstance(g[gi], int) and gm[gi] > gi:
+                if isinstance(g[gi], int) and g[gi] > gi:
                     chosen[k] = gi
                     if extend(k + 1, gi + 1):
                         return True
@@ -375,13 +377,14 @@ def avoids_bad_patterns(clan: Clan) -> bool:
 def negate(clan: Clan) -> Clan:
     """Flip every sign; pairs are untouched."""
     return Clan(
-        tuple(MINUS if s == PLUS else PLUS if s == MINUS else s for s in clan.symbols)
+        tuple(MINUS if s == PLUS else PLUS if s == MINUS else s for s in clan.code)
     )
 
 
 def reverse_rename(clan: Clan) -> Clan:
     """Reverse the position order; pair ids renumber canonically."""
-    return Clan(_canonicalize(clan.symbols[::-1]))
+    last = len(clan) - 1
+    return Clan(tuple(last - m if isinstance(m, int) else m for m in clan.code[::-1]))
 
 
 def reverse_negate_rename(clan: Clan) -> Clan:
@@ -389,13 +392,12 @@ def reverse_negate_rename(clan: Clan) -> Clan:
 
 
 def concat(*clans: Clan) -> Clan:
-    """Juxtapose with disjoint pair ids, then canonicalize."""
-    symbols: list = []
-    offset = 0
+    """Juxtapose: each clan's mate positions shift by the length before it."""
+    code: list = []
     for c in clans:
-        symbols.extend(s + offset if isinstance(s, int) else s for s in c.symbols)
-        offset += len(c.pairs)
-    return Clan(_canonicalize(symbols))
+        offset = len(code)
+        code.extend(m + offset if isinstance(m, int) else m for m in c.code)
+    return Clan(tuple(code))
 
 
 def _check_even(clan: Clan) -> int:
@@ -406,16 +408,11 @@ def _check_even(clan: Clan) -> int:
 
 
 def _mirror_pairs_ok(clan: Clan) -> bool:
-    sym = clan.symbols
-    mates = clan.mates
-    last = len(sym) - 1
-    for i, s in enumerate(sym):
-        if isinstance(s, int):
-            j = mates[i]
-            if j == last - i:
-                return False
-            if mates[last - i] != last - j:
-                return False
+    code = clan.code
+    last = len(code) - 1
+    for i, j in enumerate(code):
+        if isinstance(j, int) and (j == last - i or code[last - i] != last - j):
+            return False
     return True
 
 
@@ -423,10 +420,10 @@ def is_symmetric(clan: Clan) -> bool:
     """Mirror position carries the same sign; pairs mirror to pairs,
     never onto themselves."""
     _check_even(clan)
-    sym = clan.symbols
-    last = len(sym) - 1
-    for i, s in enumerate(sym):
-        if not isinstance(s, int) and sym[last - i] != s:
+    code = clan.code
+    last = len(code) - 1
+    for i, s in enumerate(code):
+        if not isinstance(s, int) and code[last - i] != s:
             return False
     return _mirror_pairs_ok(clan)
 
@@ -437,10 +434,9 @@ CONVENTIONS = ("paper", "figure")
 def _half_parity(clan: Clan) -> int:
     # plus signs plus whole pairs among the first half
     n = len(clan) // 2
-    sym = clan.symbols
-    plus = sum(1 for s in sym[:n] if s == PLUS)
-    pairs_first_half = sum(1 for i, j in clan.pairs if j < n)
-    return (plus + pairs_first_half) % 2
+    half = clan.code[:n]
+    pairs_first_half = sum(1 for i, j in enumerate(half) if isinstance(j, int) and i < j < n)
+    return (half.count(PLUS) + pairs_first_half) % 2
 
 
 def is_antisymmetric(clan: Clan, convention: str = "paper") -> bool:
@@ -456,11 +452,11 @@ def is_antisymmetric(clan: Clan, convention: str = "paper") -> bool:
         raise ValueError(f"unknown convention {convention!r}")
     n2 = _check_even(clan)
     n = n2 // 2
-    sym = clan.symbols
+    code = clan.code
     last = n2 - 1
-    for i, s in enumerate(sym):
+    for i, s in enumerate(code):
         if not isinstance(s, int):
-            other = sym[last - i]
+            other = code[last - i]
             if isinstance(other, int) or other == s:
                 return False
     if not _mirror_pairs_ok(clan):

@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections import deque
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
-from .clans import Clan, _canonicalize
+from .clans import Clan
 from .errors import (
     ConsistencyError,
     NotGraded,
@@ -28,90 +28,74 @@ if TYPE_CHECKING:
     from .family import Family
 
 
-def _move(sym: tuple, u: int):
-    """Raising move on adjacent positions u, u+1 (0-based); tuple or None.
+def _swap(code: tuple, u: int, v: int) -> tuple:
+    """The code of the clan with the entries at positions u and v
+    exchanged: the mates that pointed at u and v follow them, so 2 to 4
+    slots change."""
+    a, b = code[u], code[v]
+    if a == v:  # u and v are mates: the clan does not change
+        return code
+    out = list(code)
+    out[u], out[v] = b, a
+    if isinstance(a, int):
+        out[a] = v
+    if isinstance(b, int):
+        out[b] = u
+    return tuple(out)
+
+
+def _move(code: tuple, u: int):
+    """Raising move on adjacent positions u, u+1 (0-based) of a clan
+    code; the moved code, or None.
 
     Swaps the two entries when one of the three raising shapes applies
-    (two numbers whose mates come in order; a sign before a number whose
-    mate lies further right; a number after its mate followed by a
-    sign), and replaces two opposite signs by a fresh pair.
+    (two pair ends whose mates come in order; a sign before a pair end
+    whose mate lies further right; a pair end after its mate followed by
+    a sign), and replaces two opposite signs by a pair.
     """
     v = u + 1
-    a, b = sym[u], sym[v]
-    a_int = isinstance(a, int)
-    b_int = isinstance(b, int)
-    if a_int and b_int:
+    a, b = code[u], code[v]
+    if isinstance(a, int):
+        raises = a < b if isinstance(b, int) else a < u
+    elif isinstance(b, int):
+        raises = b > v
+    else:
         if a == b:
             return None
-        ja = kb = -1
-        for i, s in enumerate(sym):
-            if s == a and i != u:
-                ja = i
-            elif s == b and i != v:
-                kb = i
-        if ja < kb:
-            out = list(sym)
-            out[u], out[v] = b, a
-            return tuple(out)
-        return None
-    if not a_int and b_int:
-        for i, s in enumerate(sym):
-            if s == b and i != v:
-                if i > v:
-                    out = list(sym)
-                    out[u], out[v] = b, a
-                    return tuple(out)
-                return None
-    if a_int and not b_int:
-        for i, s in enumerate(sym):
-            if s == a and i != u:
-                if i < u:
-                    out = list(sym)
-                    out[u], out[v] = b, a
-                    return tuple(out)
-                return None
-    if not a_int and not b_int and a != b:
-        fresh = 1 + max((s for s in sym if isinstance(s, int)), default=0)
-        out = list(sym)
-        out[u] = out[v] = fresh
+        out = list(code)
+        out[u], out[v] = v, u
         return tuple(out)
-    return None
+    return _swap(code, u, v) if raises else None
 
 
 def simple_move_a(clan: Clan, i: int) -> Clan | None:
     """Raising move at 1-based positions (i, i+1); None when nothing raises."""
-    if not 1 <= i < len(clan):
+    if not 1 <= i < len(clan.code):
         raise ValueError(f"move position {i} out of range 1..{len(clan) - 1}")
-    out = _move(clan.symbols, i - 1)
-    return Clan(_canonicalize(out)) if out is not None else None
+    out = _move(clan.code, i - 1)
+    return None if out is None else Clan(out)
 
 
-def _swap(sym: tuple, u: int, v: int) -> tuple:
-    out = list(sym)
-    out[u], out[v] = out[v], out[u]
-    return tuple(out)
-
-
-def lifted_double_move(sym: tuple, u: int, v: int):
-    """Apply `_move` at u, then at v on the intermediate string.
+def lifted_double_move(code: tuple, u: int, v: int):
+    """Apply `_move` at u, then at v on the intermediate code.
 
     The two positions come from the same family root, so they must
-    succeed or fail together when each is tested on the original string;
+    succeed or fail together when each is tested on the original code;
     anything else is a broken rule.  The composite may still come up
-    empty when the second move dies on the intermediate string (the
+    empty when the second move dies on the intermediate code (the
     orbit was already dense in the relevant fiber).
     """
-    first = _move(sym, u)
-    mirror_on_original = _move(sym, v) is not None
+    first = _move(code, u)
+    mirror_on_original = _move(code, v) is not None
     if first is None:
         if mirror_on_original:
             raise ConsistencyError(
-                f"mirrored moves disagree on {sym}: position {v + 1} raises alone"
+                f"mirrored moves disagree on {Clan(code)}: position {v + 1} raises alone"
             )
         return None
     if not mirror_on_original:
         raise ConsistencyError(
-            f"mirrored moves disagree on {sym}: position {u + 1} raises alone"
+            f"mirrored moves disagree on {Clan(code)}: position {u + 1} raises alone"
         )
     return _move(first, v)
 
@@ -127,31 +111,29 @@ def raising_moves_oracle(clan: Clan) -> set[Clan]:
     while completion places sign-free clans below signed ones), so only
     the soundness direction holds.
     """
-    sym = clan.symbols
-    mates = clan.mates
-    n = len(sym)
+    code = clan.code
+    n = len(code)
     out: set[Clan] = set()
-    fresh = 1 + max((s for s in sym if isinstance(s, int)), default=0)
     for i in range(n):
-        a = sym[i]
+        a = code[i]
         for j in range(i + 1, n):
-            b = sym[j]
+            b = code[j]
             a_int = isinstance(a, int)
             b_int = isinstance(b, int)
             if not a_int and not b_int:
                 if a != b:
-                    lifted = list(sym)
-                    lifted[i] = lifted[j] = fresh
-                    out.add(Clan(_canonicalize(lifted)))
+                    lifted = list(code)
+                    lifted[i], lifted[j] = j, i
+                    out.add(Clan(tuple(lifted)))
             elif a_int and b_int:
-                if a != b and mates[i] < mates[j]:
-                    out.add(Clan(_canonicalize(_swap(sym, i, j))))
+                if a != j and a < b:
+                    out.add(Clan(_swap(code, i, j)))
             elif a_int:  # number then sign: number moves right, mate must sit left
-                if mates[i] < i:
-                    out.add(Clan(_canonicalize(_swap(sym, i, j))))
+                if a < i:
+                    out.add(Clan(_swap(code, i, j)))
             else:  # sign then number: number moves left, mate must sit right
-                if mates[j] > j:
-                    out.add(Clan(_canonicalize(_swap(sym, i, j))))
+                if b > j:
+                    out.add(Clan(_swap(code, i, j)))
     return out
 
 
@@ -251,43 +233,51 @@ def weak_order_graph(family: Family, max_orbits: int | None = None):
     """Upward move-closure of the family's closed orbits.
 
     Returns (dims, edges): a dict clan -> dimension and the list of
-    labeled weak edges.  Verifies the harvested orbit set against the
-    family's own enumeration and the +1 grading of every edge.  The
-    closed-form count, taken before the walk, meets the enumeration's
-    length cap and `max_orbits`, so oversized input fails at once.
+    labeled weak edges.  Each fact is checked once: the closed orbits
+    through the family's checked `dimension`, every edge for the +1
+    grading against the dimension of its new end (computed once, without
+    the membership check), and the harvested orbit set against the
+    family's own enumeration, which catches a move that leaves the
+    family.  The closed-form count, taken before the walk, meets the
+    enumeration's length cap and `max_orbits`, so oversized input fails
+    at once.  The walk keys its table by clan code, so each orbit is
+    one `Clan` however many edges reach it.
     """
     total = family.count()
     if max_orbits is not None and total > max_orbits:
         raise RankTooLarge(f"{total} orbits exceed the cap of {max_orbits}")
-    dims: dict[Clan, int] = {}
+    seen: dict[tuple, tuple[Clan, int]] = {}
     for c in family.closed_clans():
-        dims[c] = family.dimension(c)
+        seen[c.code] = (c, family.dimension(c))
     edges: list[tuple[Clan, Clan, int]] = []
-    frontier = list(dims)
+    frontier = list(seen.values())
+    roots = family.root_indices()
+    dimension = family._dimension
     while frontier:
         nxt = []
-        for clan in frontier:
-            base = dims[clan]
-            for root in family.root_indices():
+        for clan, base in frontier:
+            for root in roots:
                 raised = family.raise_by(clan, root)
                 if raised is None:
                     continue
+                known = seen.get(raised.code)
+                if known is None:
+                    known = seen[raised.code] = (raised, dimension(raised))
+                    nxt.append(known)
+                raised, dim = known
                 edges.append((clan, raised, root))
-                if raised not in dims:
-                    dims[raised] = family.dimension(raised)
-                    nxt.append(raised)
-                if dims[raised] != base + 1:
+                if dim != base + 1:
                     raise NotGraded(f"{clan} -{root}-> {raised} is not a +1 edge")
         frontier = nxt
-    expected = set(family.enumerate())
-    if set(dims) != expected:
-        missing = expected - set(dims)
-        extra = set(dims) - expected
+    expected = {c.code for c in family.enumerate()}
+    if seen.keys() != expected:
+        missing = expected - seen.keys()
+        extra = seen.keys() - expected
         raise ConsistencyError(
             f"move closure disagrees with enumeration: "
             f"{len(missing)} missing, {len(extra)} extra"
         )
-    return dims, edges
+    return dict(seen.values()), edges
 
 
 def complete_closure(dims_by_id: Sequence[int], n_orbits: int,
@@ -321,10 +311,11 @@ def complete_closure(dims_by_id: Sequence[int], n_orbits: int,
 def build_poset(family: Family, max_orbits: int | None = None) -> OrbitPoset:
     """Weak order graph, completed and wrapped with reachability."""
     dims, weak = weak_order_graph(family, max_orbits)
-    order = sorted(dims, key=lambda c: (dims[c], str(c)))
-    idx = {c: i for i, c in enumerate(order)}
-    dim_list = [dims[c] for c in order]
-    weak_ids = [(idx[a], idx[b], r) for a, b, r in weak]
+    ranked = sorted(dims.items(), key=lambda cd: (cd[1], str(cd[0])))
+    order = [c for c, _ in ranked]
+    dim_list = [d for _, d in ranked]
+    idx = {c.code: i for i, c in enumerate(order)}
+    weak_ids = [(idx[a.code], idx[b.code], r) for a, b, r in weak]
     covers = complete_closure(dim_list, len(order), weak_ids)
     poset = OrbitPoset(family.meta(), order, dim_list, covers)
     poset.validate()

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Callable, Protocol
 
-from .clans import Clan, _canonicalize, avoids_bad_patterns, mirror_clans, negate
+from .clans import Clan, avoids_bad_patterns, mirror_clans, negate
 from .closure import OrbitPoset, lifted_double_move
 from .errors import ClanError, ConsistencyError, InvalidRoot, NotClosed
 
@@ -47,7 +47,14 @@ class Family(Protocol):
         """Raise a `ClanError` unless the family contains `clan`."""
         ...
 
-    def dimension(self, clan: Clan) -> int: ...
+    def _dimension(self, clan: Clan) -> int:
+        """The dimension without the membership check: for the weak-order
+        walk, whose comparison with the enumeration checks membership once."""
+        ...
+
+    def dimension(self, clan: Clan) -> int:
+        self._check(clan)
+        return self._dimension(clan)
 
     def raise_by(self, clan: Clan, root: int) -> Clan | None:
         """The simple-root action when it raises dimension by one, else None."""
@@ -113,11 +120,24 @@ class Family(Protocol):
         return None
 
 
+def pair_signs(code: tuple, pairs) -> tuple:
+    """The code with each (a, b) of `pairs`, two signed positions, made a
+    pair: the Springer move of a closed orbit."""
+    out = list(code)
+    for a, b in pairs:
+        if isinstance(out[a], int) or isinstance(out[b], int):
+            raise NotClosed(f"position {a + 1} or {b + 1} of {Clan(code)} is not a sign")
+        out[a], out[b] = b, a
+    return tuple(out)
+
+
 def middle_crossings(clan: Clan) -> int:
     """Pairs (s, t) with s in the first half, t in the second, reaching no
     further than the mirror of s (1-based: s <= n < t <= 2n+1-s)."""
     n = len(clan) // 2
-    return sum(1 for i, j in clan.pairs if i < n <= j and i + j <= 2 * n - 1)
+    return sum(
+        1 for i, j in enumerate(clan.code[:n]) if isinstance(j, int) and n <= j <= 2 * n - 1 - i
+    )
 
 
 class MirrorFamily(Family):
@@ -129,25 +149,21 @@ class MirrorFamily(Family):
     def enumerate(self) -> list[Clan]:
         return [c for c in mirror_clans(self.n, self.opposite) if self.contains(c)]
 
-    def _middle_move(self, sym: tuple):
-        """Raw symbols after the move of the middle root n, or None."""
+    def _middle_move(self, code: tuple):
+        """The code after the move of the middle root n, or None."""
         raise NotImplementedError
 
     def raise_by(self, clan: Clan, root: int) -> Clan | None:
+        """The lifted move; membership and grading of the result are
+        checked once per orbit by the weak-order walk, not per move."""
         n = self.n
         if root not in self.root_indices():
             raise InvalidRoot(f"root {root} out of range for {self!r}")
-        sym = clan.symbols
         if root < n:
-            moved = lifted_double_move(sym, root - 1, 2 * n - root - 1)
+            moved = lifted_double_move(clan.code, root - 1, 2 * n - root - 1)
         else:
-            moved = self._middle_move(sym)
-        if moved is None:
-            return None
-        out = Clan(_canonicalize(moved))
-        if not self.contains(out) or self.dimension(out) != self.dimension(clan) + 1:
-            raise ConsistencyError(f"raise of {clan} by {root} left the family: {out}")
-        return out
+            moved = self._middle_move(clan.code)
+        return None if moved is None else Clan(moved)
 
     def positive_roots(self) -> list[Root]:
         # long roots 2e_i are never noncompact imaginary, so never listed
@@ -162,20 +178,16 @@ class MirrorFamily(Family):
         if not closed.is_all_signs():
             raise NotClosed(f"{closed} is not an all-sign clan")
         i, j, eps = root
-        sym = closed.symbols
+        code = closed.code
         other = j - 1 if eps < 0 else 2 * self.n - j
-        return sym[i - 1] != sym[other]
+        return code[i - 1] != code[other]
 
     def springer_move(self, closed: Clan, root: Root) -> Clan:
-        """Replace the root's coordinate quadruple by two fresh pairs."""
+        """Pair up the root's coordinate quadruple: two 2-slot edits."""
         i, j, eps = root
-        m = 2 * self.n + 1
+        m = 2 * self.n
         if eps < 0:
-            quads = ((i, j), (m - j, m - i))
+            quads = ((i - 1, j - 1), (m - j, m - i))
         else:
-            quads = ((i, m - j), (j, m - i))
-        out = list(closed.symbols)
-        fresh = 2 * self.n + 1
-        for pid, (a, b) in enumerate(quads):
-            out[a - 1] = out[b - 1] = fresh + pid
-        return Clan.from_symbols(out)
+            quads = ((i - 1, m - j), (j - 1, m - i))
+        return Clan(pair_signs(closed.code, quads))

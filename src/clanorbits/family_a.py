@@ -17,15 +17,17 @@ from .clans import Clan, MINUS, PLUS, all_sign_clans, count_clans, enumerate_cla
 from .clans import avoids_bad_patterns  # noqa: F401  perfbench's tracer test patches it here
 from .closure import simple_move_a
 from .errors import ClanError, InvalidRoot, NotClosed, SignatureMismatch
-from .family import Family
+from .family import Family, pair_signs
 
 
 def nested_open_clan(p: int, q: int) -> Clan:
     """The dense orbit's clan: min(p,q) nested pairs around a sign block."""
     k = min(p, q)
+    last = p + q - 1
     sign = PLUS if p >= q else MINUS
-    symbols = list(range(1, k + 1)) + [sign] * abs(p - q) + list(range(k, 0, -1))
-    return Clan(tuple(symbols))
+    head = tuple(range(last, last - k, -1))  # position i pairs with last - i
+    tail = tuple(range(k - 1, -1, -1))
+    return Clan(head + (sign,) * abs(p - q) + tail)
 
 
 class FamilyA(Family):
@@ -58,8 +60,7 @@ class FamilyA(Family):
                 f"{clan} has signature {clan.signature}, family wants {(self.p, self.q)}"
             )
 
-    def dimension(self, clan: Clan) -> int:
-        self._check(clan)
+    def _dimension(self, clan: Clan) -> int:
         return self.d_K + length_stat(clan)
 
     def raise_by(self, clan: Clan, root: int) -> Clan | None:
@@ -90,12 +91,9 @@ class FamilyA(Family):
         i, j, eps = root
         if eps > 0:
             raise InvalidRoot("type A has no e_i + e_j roots")
-        return closed.symbols[i - 1] != closed.symbols[j - 1]
+        return closed.code[i - 1] != closed.code[j - 1]
 
     def springer_move(self, closed: Clan, root: tuple[int, int, int]) -> Clan:
         """The raised orbit: the two opposite signs become one pair."""
         i, j, _ = root
-        fresh = 1 + self.n
-        out = list(closed.symbols)
-        out[i - 1] = out[j - 1] = fresh
-        return Clan.from_symbols(out)
+        return Clan(pair_signs(closed.code, ((i - 1, j - 1),)))

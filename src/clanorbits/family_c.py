@@ -45,7 +45,7 @@ def gamma_circ_c(p: int, q: int) -> Clan:
     tail: list[int] = []
     for t in range(k, 0, -1):
         tail += [2 * t - 1, 2 * t]
-    return Clan(tuple(head + [sign] * (2 * abs(p - q)) + tail))
+    return Clan.from_symbols(head + [sign] * (2 * abs(p - q)) + tail)
 
 
 @dataclass(frozen=True)
@@ -128,15 +128,14 @@ class FamilyC(MirrorFamily):
         if not is_symmetric(clan):
             raise NotSymmetric(f"{clan} is not mirror-symmetric")
 
-    def dimension(self, clan: Clan) -> int:
-        self._check(clan)
+    def _dimension(self, clan: Clan) -> int:
         total = length_stat(clan) + middle_crossings(clan)
         if total % 2:
-            raise ConsistencyError(f"odd length statistic for symmetric clan {clan}")
+            raise ConsistencyError(f"odd length statistic for clan {clan}")
         return self.d_K + total // 2
 
-    def _middle_move(self, sym: tuple):
-        return _move(sym, self.n - 1)
+    def _middle_move(self, code: tuple):
+        return _move(code, self.n - 1)
 
     def count(self) -> int:
         return count_mirror_clans(self.n, self.p)
@@ -144,7 +143,7 @@ class FamilyC(MirrorFamily):
     def closed_clans(self) -> list[Clan]:
         out = []
         for half in all_sign_clans(self.n, self.p):
-            out.append(Clan(half.symbols + half.symbols[::-1]))
+            out.append(Clan(half.code + half.code[::-1]))
         return out
 
     def open_clan(self) -> Clan:

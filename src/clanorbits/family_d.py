@@ -37,7 +37,6 @@ from .clans import (
     Clan,
     MINUS,
     PLUS,
-    _canonicalize,
     _half_parity,
     all_sign_clans,
     avoids_bad_patterns,
@@ -69,7 +68,7 @@ def gamma_circ_d(n: int) -> Clan:
     for t in range(m, 0, -1):
         tail += [2 * t - 1, 2 * t]
     middle = [] if n % 2 == 0 else [MINUS, PLUS]
-    return Clan(_canonicalize(head + middle + tail))
+    return Clan.from_symbols(head + middle + tail)
 
 
 @dataclass(frozen=True)
@@ -133,7 +132,7 @@ def _threaded_inner(core: Clan) -> Clan | None:
         return None
     k = len(inner.pairs)
     wrapped = (k + 1,) + inner.symbols + (k + 1,)
-    if not avoids_bad_patterns(Clan(_canonicalize(wrapped))):
+    if not avoids_bad_patterns(Clan.from_symbols(wrapped)):
         return None
     shift = tuple(s + 1 if isinstance(s, int) else s for s in inner.symbols)
     shift2 = tuple(
@@ -141,7 +140,7 @@ def _threaded_inner(core: Clan) -> Clan | None:
         for s in reverse_negate_rename(inner).symbols
     )
     rebuilt = (1,) + shift + (2 + 2 * k, 1) + shift2 + (2 + 2 * k,)
-    if Clan(_canonicalize(rebuilt)) != core:
+    if Clan.from_symbols(rebuilt) != core:
         return None
     return inner
 
@@ -181,7 +180,7 @@ def fiber_form_d(clan: Clan) -> FiberFormD | None:
             return FiberFormD("mirror", flank)
         reading = core
         if rank % 2 == 0 and _half_parity(core):
-            reading = Clan(_canonicalize(_swap(core.symbols, rank - 1, rank)))
+            reading = Clan(_swap(core.code, rank - 1, rank))
         if avoids_bad_patterns(reading):
             return FiberFormD("block", flank, core, rank)
         nested = fiber_form_d(reading)
@@ -223,17 +222,16 @@ class FamilyD(MirrorFamily):
                 f"{clan} is not antisymmetric of rank {self.n} ({self.convention} convention)"
             )
 
-    def dimension(self, clan: Clan) -> int:
-        self._check(clan)
+    def _dimension(self, clan: Clan) -> int:
         total = length_stat(clan) - middle_crossings(clan)
         if total % 2:
-            raise ConsistencyError(f"odd length statistic for antisymmetric clan {clan}")
+            raise ConsistencyError(f"odd length statistic for clan {clan}")
         return self.d_K + total // 2
 
-    def _middle_move(self, sym: tuple):
+    def _middle_move(self, code: tuple):
         # conjugate by the middle swap, lift root n-1, conjugate back
         n = self.n
-        moved = lifted_double_move(_swap(sym, n - 1, n), n - 2, n)
+        moved = lifted_double_move(_swap(code, n - 1, n), n - 2, n)
         return None if moved is None else _swap(moved, n - 1, n)
 
     def count(self) -> int:
@@ -250,8 +248,8 @@ class FamilyD(MirrorFamily):
             if plus_count % 2 != want:
                 continue
             for half in all_sign_clans(self.n, plus_count):
-                mirror = negate(Clan(half.symbols[::-1]))
-                out.append(Clan(half.symbols + mirror.symbols))
+                mirror = negate(Clan(half.code[::-1]))
+                out.append(Clan(half.code + mirror.code))
         return out
 
     def open_clan(self) -> Clan:
@@ -265,7 +263,7 @@ class FamilyD(MirrorFamily):
         unique antisymmetric member of the result and its middle swap."""
         self._check(clan)
         n = self.n
-        swapped = Clan(_canonicalize(_swap(clan.symbols, n - 1, n)))
+        swapped = Clan(_swap(clan.code, n - 1, n))
         candidates = [negate(swapped), negate(clan)]
         picks = [c for c in candidates if is_antisymmetric(c, self.convention)]
         if len(picks) != 1:

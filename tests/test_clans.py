@@ -17,6 +17,7 @@ from clanorbits import (
     is_antisymmetric,
     is_symmetric,
     length_stat,
+    mirror_clans,
     negate,
     parse_clan,
     reverse_negate_rename,
@@ -214,10 +215,24 @@ def clans(draw, max_side=3):
     return draw(st.sampled_from(pool)) if pool else Clan(())
 
 
-@given(clans())
+@st.composite
+def mirror_pool_clans(draw):
+    return draw(st.sampled_from(mirror_clans(draw(st.integers(0, 4)), draw(st.booleans()))))
+
+
+@given(st.one_of(clans(), mirror_pool_clans()))
 def test_canonical_form_idempotent(c):
+    """The stored code, the labelled symbols and the text name one clan,
+    and a pair's two positions carry one label and are each other's mates."""
     assert Clan.from_symbols(c.symbols) == c
     assert P(str(c)) == c
+    sym, mates = c.symbols, c.mates
+    for i, s in enumerate(sym):
+        if isinstance(s, int):
+            assert [j for j, t in enumerate(sym) if t == s and j != i] == [mates[i]]
+        else:
+            assert mates[i] == -1 and c.code[i] == s
+    assert c.code == tuple(m if m >= 0 else s for m, s in zip(mates, sym))
 
 
 @given(clans())

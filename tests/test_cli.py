@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import time
 
@@ -234,3 +235,15 @@ def test_cache_rejects_another_familys_poset(tmp_path, capsys):
     code, out = run(capsys, "list", "--family", "a", "--p", "2", "--q", "2",
                     "--cache-dir", str(tmp_path))
     assert code == 2 and out == ""
+
+
+@pytest.mark.parametrize("family, digest", [
+    (FamilyA(3, 3), "75a73d685d801600ecb88af130746540e72974d9582c58b0e42151aeafb5e9de"),
+    (FamilyC(2, 2), "817a6b9a1bc7be25c5e4c6d605fc0483e5cbaedb6217bf13f76d7b68b3c26a1f"),
+    (FamilyD(4), "42aa91dd22f2c15887337275f49b2324270dcd1f9e27a48c2cf5412402cf3271"),
+], ids=repr)
+def test_cache_file_bytes_are_pinned(tmp_path, family, digest):
+    """The saved JSON is byte for byte the file written while clans were
+    stored as labelled symbols, so caches of either storage load alike."""
+    path = save_poset(build_poset(family), tmp_path / cache_key(family.meta()))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest

@@ -79,8 +79,8 @@ def test_mirror_moves_succeed_together():
         n = family.n
         for clan in family.enumerate():
             for i in range(1, n):
-                a = _move(clan.symbols, i - 1)
-                b = _move(clan.symbols, 2 * n - i - 1)
+                a = _move(clan.code, i - 1)
+                b = _move(clan.code, 2 * n - i - 1)
                 assert (a is None) == (b is None)
 
 

@@ -11,7 +11,9 @@ from clanorbits import (
     parse_clan,
     quotient_poset,
 )
+from clanorbits import family as family_module
 from clanorbits.cli import orbit_rows, poset_dot
+from clanorbits.closure import _move, lifted_double_move
 from clanorbits.errors import ConsistencyError, NotSymmetric
 from clanorbits.family_c import fiber_form_c
 from clanorbits.fixtures import compare_fixture, load_fixture
@@ -46,6 +48,34 @@ def test_count_is_the_closed_form():
 def test_build_poset_c43():
     poset = build_poset(FamilyC(4, 3))
     assert (len(poset), len(poset.covers)) == (2555, 12030)
+
+
+def _one_sided(code, u, v):
+    """A lifted move that forgets its mirror half."""
+    return _move(code, u)
+
+
+def _flip_ends(code, u, v):
+    """The lifted move, then the signs at both ends flipped: symmetric,
+    of the same dimension, but of another signature."""
+    moved = lifted_double_move(code, u, v)
+    if moved is None or isinstance(moved[0], int):
+        return moved
+    flip = {"+": "-", "-": "+"}
+    return (flip[moved[0]],) + moved[1:-1] + (flip[moved[-1]],)
+
+
+@pytest.mark.parametrize("broken, message", [
+    (_one_sided, "odd length statistic"),
+    (_flip_ends, "move closure disagrees with enumeration"),
+])
+def test_a_move_that_leaves_the_family_stops_the_build(monkeypatch, broken, message):
+    """raise_by does not check its result: the weak-order walk's single
+    check of each fact (the dimension of each new orbit, the +1 grading,
+    the comparison with the enumeration) must stop such a move."""
+    monkeypatch.setattr(family_module, "lifted_double_move", broken)
+    with pytest.raises(ConsistencyError, match=message):
+        build_poset(FamilyC(2, 1))
 
 
 def test_fiber_form_searched_once_per_orbit(poset_c22):
