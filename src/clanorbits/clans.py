@@ -15,8 +15,8 @@ so it is canonical by construction: ``2,2,5,5`` and ``1,1,2,2`` both
 store ``(1, 0, 3, 2)``, equality is tuple equality, and a move edits a
 few slots without relabelling the rest.  The labelled form
 (`Clan.symbols`, pair ids 1, 2, 3, ... in order of first occurrence) is
-derived from the code once per clan, for the text format and the code
-that slices clans into blocks.
+derived from the code once per clan, for the text format only; code
+that cuts a clan into blocks reads the code through `block`.
 
 Text format, unchanged by the storage: comma-separated tokens
 (``1,+,-,1``).  A compact digit form without commas (``1+-1``) is
@@ -183,12 +183,12 @@ def _perfect_matchings(positions: tuple) -> Iterator[tuple]:
             yield ((first, other),) + sub
 
 
-def enumerate_clans(p: int, q: int, max_length: int = MAX_ENUM_LENGTH) -> list[Clan]:
+def enumerate_clans(p: int, q: int) -> list[Clan]:
     """All clans of signature (p, q)."""
     if p < 0 or q < 0:
         raise ValueError("signature parts must be nonnegative")
     n = p + q
-    _check_length(n, max_length)
+    _check_length(n)
     out = []
     for k in range(min(p, q) + 1):
         for pair_positions in combinations(range(n), 2 * k):
@@ -247,9 +247,9 @@ def mirror_clans(n: int, opposite: bool) -> list[Clan]:
     return out
 
 
-def _check_length(length: int, max_length: int = MAX_ENUM_LENGTH) -> None:
-    if length > max_length:
-        raise RankTooLarge(f"clan length {length} exceeds enumeration cap {max_length}")
+def _check_length(length: int) -> None:
+    if length > MAX_ENUM_LENGTH:
+        raise RankTooLarge(f"clan length {length} exceeds enumeration cap {MAX_ENUM_LENGTH}")
 
 
 def _matchings(k: int) -> int:
@@ -398,6 +398,23 @@ def concat(*clans: Clan) -> Clan:
         offset = len(code)
         code.extend(m + offset if isinstance(m, int) else m for m in c.code)
     return Clan(tuple(code))
+
+
+def block(clan: Clan, lo: int, hi: int) -> Clan | None:
+    """Positions lo..hi-1 as a clan of their own, or None when a pair
+    leaves them.
+
+    >>> str(block(parse_clan("1,+,2,2,1,-"), 2, 4))
+    '1,1'
+    >>> block(parse_clan("1,+,2,2,1,-"), 0, 3) is None
+    True
+    >>> block(parse_clan("1,+,2,2,1,-"), 3, 3)
+    Clan('')
+    """
+    code = clan.code[lo:hi]
+    if any(isinstance(m, int) and not lo <= m < hi for m in code):
+        return None
+    return Clan(tuple(m - lo if isinstance(m, int) else m for m in code))
 
 
 def _check_even(clan: Clan) -> int:

@@ -89,13 +89,16 @@ class Family(Protocol):
     def fiber_form(self, clan: Clan):
         """Witness of an exceptional fiber-bundle form; None when there is
         none (always, in type A)."""
-        return None
+        self._check(clan)
+        return self._fiber_form(clan)
+
+    _fiber_form = staticmethod(lambda clan: None)  # unchecked, for `classify`
 
     def classify(self, clan: Clan) -> bool:
         """True when the orbit closure is smooth: the clan avoids the bad
         patterns, or carries an exceptional fiber-bundle form."""
         self._check(clan)
-        return avoids_bad_patterns(clan) or self.fiber_form(clan) is not None
+        return avoids_bad_patterns(clan) or self._fiber_form(clan) is not None
 
     def verdicts(self, poset: OrbitPoset) -> list[bool]:
         """`classify` per node of `poset`.  Every member of a node is

@@ -23,11 +23,10 @@ from .clans import (
     PLUS,
     all_sign_clans,
     avoids_bad_patterns,
-    concat,
+    block,
     count_mirror_clans,
     is_symmetric,
     length_stat,
-    reverse_rename,
 )
 from .closure import _move
 from .errors import ClanError, ConsistencyError, NotSymmetric, SignatureMismatch
@@ -75,20 +74,21 @@ class FiberFormC:
 @lru_cache(maxsize=None)
 def fiber_form_c(clan: Clan) -> FiberFormC | None:
     """Search all core sizes for a smooth-fiber decomposition of a
-    mirror-symmetric clan; its signature (2p, 2q) fixes each core's."""
+    mirror-symmetric clan; its signature (2p, 2q) fixes each core's.
+    The mirror (`FamilyC.fiber_form` checks it) makes a prefix that no
+    pair leaves fix its suffix, so only the middle block is compared."""
     n = len(clan) // 2
     p, q = (half // 2 for half in clan.signature)
     for m in range(0, n + 1):
-        try:
-            prefix = Clan.from_symbols(clan.symbols[:m])
-        except ValueError:
+        prefix = block(clan, 0, m)
+        if prefix is None:
             continue
         r, s = prefix.signature
         core_p, core_q = p - r, q - s
         if core_p < 0 or core_q < 0:
             continue
         core = gamma_circ_c(core_p, core_q)
-        if concat(prefix, core, reverse_rename(prefix)) == clan and avoids_bad_patterns(prefix):
+        if block(clan, m, 2 * n - m) == core and avoids_bad_patterns(prefix):
             return FiberFormC(prefix, core, r, s, core_p, core_q)
     return None
 
@@ -149,6 +149,4 @@ class FamilyC(MirrorFamily):
     def open_clan(self) -> Clan:
         return gamma_circ_c(self.p, self.q)
 
-    def fiber_form(self, clan: Clan) -> FiberFormC | None:
-        self._check(clan)
-        return fiber_form_c(clan)
+    _fiber_form = staticmethod(fiber_form_c)

@@ -40,12 +40,11 @@ from .clans import (
     _half_parity,
     all_sign_clans,
     avoids_bad_patterns,
-    concat,
+    block,
     count_mirror_clans,
     is_antisymmetric,
     length_stat,
     negate,
-    reverse_negate_rename,
 )
 from .closure import _swap, lifted_double_move
 from .errors import ClanError, ConsistencyError, NeitherAntisymmetric, NotAntisymmetric
@@ -111,38 +110,20 @@ class FiberFormD:
         return f"{flank}; core {self.core} of rank {self.core_rank} smooth via {via}"
 
 
-def _standalone(symbols: tuple) -> Clan | None:
-    try:
-        return Clan.from_symbols(symbols)
-    except ValueError:
-        return None
-
-
 def _threaded_inner(core: Clan) -> Clan | None:
     """The inner clan when `core` = (1, inner, 2, 1, inner', 2) and the
-    nested type-A clan (1, inner, 1) avoids the bad patterns."""
+    nested type-A clan (1, inner, 1) avoids the bad patterns.  The
+    mirror (see `fiber_form_d`) gives the pair 2 and inner' from the
+    pair 1 and inner."""
     rank = len(core) // 2
-    if rank < 2:
+    code = core.code
+    if rank < 2 or code[0] != rank:
         return None
-    mates = core.mates
-    if mates[0] != rank or mates[rank - 1] != 2 * rank - 1:
-        return None
-    inner = _standalone(core.symbols[1 : rank - 1])
+    inner = block(core, 1, rank - 1)
     if inner is None:
         return None
-    k = len(inner.pairs)
-    wrapped = (k + 1,) + inner.symbols + (k + 1,)
-    if not avoids_bad_patterns(Clan.from_symbols(wrapped)):
-        return None
-    shift = tuple(s + 1 if isinstance(s, int) else s for s in inner.symbols)
-    shift2 = tuple(
-        s + 1 + k if isinstance(s, int) else s
-        for s in reverse_negate_rename(inner).symbols
-    )
-    rebuilt = (1,) + shift + (2 + 2 * k, 1) + shift2 + (2 + 2 * k,)
-    if Clan.from_symbols(rebuilt) != core:
-        return None
-    return inner
+    wrapped = Clan((rank - 1,) + code[1 : rank - 1] + (0,))  # (1, inner, 1)
+    return inner if avoids_bad_patterns(wrapped) else None
 
 
 @lru_cache(maxsize=None)
@@ -155,7 +136,9 @@ def fiber_form_d(clan: Clan) -> FiberFormD | None:
     and its first-half parity odd) must avoid the bad patterns or carry
     a witness of its own.  Convention-free: only the mirror structure
     matters, so it applies to central blocks whose parity class differs
-    from their ambient clan's.
+    from their ambient clan's.  The members `FamilyD.fiber_form` checks,
+    and the cores and twisted readings the recursion passes, are all
+    mirror-antisymmetric: a flank that no pair leaves fixes its suffix.
     """
     n = len(clan) // 2
     if n == 0:
@@ -167,14 +150,10 @@ def fiber_form_d(clan: Clan) -> FiberFormD | None:
     if inner is not None:
         return FiberFormD("threaded", Clan(()), clan, n, inner)
     for m in range(1, n + 1):
-        flank = _standalone(clan.symbols[:m])
+        flank = block(clan, 0, m)
         if flank is None or not avoids_bad_patterns(flank):
             continue
-        core = _standalone(clan.symbols[m : 2 * n - m])
-        if core is None:
-            continue
-        if concat(flank, core, reverse_negate_rename(flank)) != clan:
-            continue
+        core = block(clan, m, 2 * n - m)
         rank = n - m
         if rank == 0:
             return FiberFormD("mirror", flank)
@@ -272,9 +251,7 @@ class FamilyD(MirrorFamily):
             )
         return picks[0]
 
-    def fiber_form(self, clan: Clan) -> FiberFormD | None:
-        self._check(clan)
-        return fiber_form_d(clan)
+    _fiber_form = staticmethod(fiber_form_d)
 
     def isogeny_fold(self, level: str):
         """None when orbits at the level match the simply connected ones;

@@ -11,12 +11,14 @@ In these families the test is sharp: an orbit closure is rationally
 smooth (equivalently smooth) iff no closed orbit below it violates the
 inequality.
 
-Two paths compute the count.  `springer_report` derives it for one
-(orbit, closed orbit) pair and lists the roots: it is the explain path
-and the oracle of the tests.  `cross_validate` checks every orbit
-against the pattern-based classifiers; it raises each closed orbit by
-its roots once (`raised_masks`), as bitmasks over node ids, so the
-count for an orbit is a popcount against its down-set (`root_count`).
+Both counts start from one raise loop, `raised_nodes`: the noncompact
+roots of a closed node, each with the node it raises that node to.
+`springer_report` keeps the roots whose node lies below one orbit
+(`le_ids`) and lists them: it is the explain path and the oracle of the
+tests.  `cross_validate` checks every orbit against the pattern-based
+classifiers; it folds each closed node's raised nodes into bitmasks
+over node ids once (`raised_masks`), so the count for an orbit is a
+popcount against its down-set (`root_count`).
 
 Everything here also runs on isogeny-quotient posets: nodes then carry
 several clans, the closed node's representative drives the root data,
@@ -54,29 +56,34 @@ class SpringerReport:
         }
 
 
+def raised_nodes(family: Family, poset: OrbitPoset, cid: int) -> list[tuple[Root, int]]:
+    """(root, node id) for each noncompact root of the closed node `cid`
+    and the node it raises `cid` to, which must lie strictly higher."""
+    closed = poset.orbits[cid]
+    if not closed.is_all_signs():
+        raise NotClosed(f"{closed} is not a closed orbit")
+    out = []
+    for root in family.positive_roots():
+        if family.is_noncompact(closed, root):
+            mid = poset.id_of(family.springer_move(closed, root))
+            if poset.dims[mid] <= poset.dims[cid]:
+                raise ConsistencyError(f"raising root {root} failed to raise {closed}")
+            out.append((root, mid))
+    return out
+
+
 def springer_report(family: Family, poset: OrbitPoset, orbit: Clan,
                     closed: Clan) -> SpringerReport:
     """Count the raising roots of `closed` that stay inside the closure
     of `orbit`; the inequality s_size > dim_gap certifies a singularity."""
     oid = poset.id_of(orbit)
     cid = poset.id_of(closed)
-    rep = poset.orbits[cid]
-    if not rep.is_all_signs():
-        raise NotClosed(f"{closed} is not a closed orbit")
+    raised = raised_nodes(family, poset, cid)
     if not poset.le_ids(cid, oid):
         raise NotBelow(f"{closed} does not lie below {orbit}")
     gap = poset.dims[oid] - poset.dims[cid]
-    roots = []
-    for root in family.positive_roots():
-        if not family.is_noncompact(rep, root):
-            continue
-        moved = family.springer_move(rep, root)
-        mid = poset.id_of(moved)
-        if poset.dims[mid] <= poset.dims[cid]:
-            raise ConsistencyError(f"raising root {root} failed to raise {rep}")
-        if poset.le_ids(mid, oid):
-            roots.append(root)
-    return SpringerReport(orbit, rep, tuple(roots), len(roots), gap, len(roots) > gap)
+    roots = tuple(root for root, mid in raised if poset.le_ids(mid, oid))
+    return SpringerReport(orbit, poset.orbits[cid], roots, len(roots), gap, len(roots) > gap)
 
 
 def rationally_smooth(family: Family, poset: OrbitPoset, orbit: Clan) -> bool:
@@ -93,18 +100,8 @@ def raised_masks(family: Family, poset: OrbitPoset) -> dict[int, tuple[int, ...]
     the closed node to node m, so node m counts once per root that
     reaches it, not once in all."""
     out = {}
-    for closed in poset.minima():
-        cid = poset.id_of(closed)
-        if not closed.is_all_signs():
-            raise NotClosed(f"{closed} is not a closed orbit")
-        hits: Counter[int] = Counter()
-        for root in family.positive_roots():
-            if not family.is_noncompact(closed, root):
-                continue
-            mid = poset.id_of(family.springer_move(closed, root))
-            if poset.dims[mid] <= poset.dims[cid]:
-                raise ConsistencyError(f"raising root {root} failed to raise {closed}")
-            hits[mid] += 1
+    for cid in map(poset.id_of, poset.minima()):
+        hits = Counter(mid for _, mid in raised_nodes(family, poset, cid))
         layers = [0] * max(hits.values(), default=0)
         for mid, k in hits.items():
             for layer in range(k):
