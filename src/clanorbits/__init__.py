@@ -12,7 +12,6 @@ from .clans import (
     Clan,
     all_sign_clans,
     avoids_bad_patterns,
-    concat,
     count_clans,
     enumerate_clans,
     includes_pattern,
@@ -20,10 +19,9 @@ from .clans import (
     is_symmetric,
     length_stat,
     mirror_clans,
+    mirror_double,
     negate,
     parse_clan,
-    reverse_negate_rename,
-    reverse_rename,
 )
 from .closure import (
     OrbitPoset,
@@ -55,7 +53,6 @@ __all__ = [
     "build_poset",
     "complete_closure",
     "compress",
-    "concat",
     "count_clans",
     "cross_validate",
     "enumerate_clans",
@@ -68,14 +65,13 @@ __all__ = [
     "length_stat",
     "middle_crossings",
     "mirror_clans",
+    "mirror_double",
     "negate",
     "nested_open_clan",
     "parse_clan",
     "quotient_poset",
     "raising_moves_oracle",
     "rationally_smooth",
-    "reverse_negate_rename",
-    "reverse_rename",
     "simple_move_a",
     "springer_report",
     "weak_order_graph",

@@ -18,6 +18,13 @@ few slots without relabelling the rest.  The labelled form
 derived from the code once per clan, for the text format only; code
 that cuts a clan into blocks reads the code through `block`.
 
+The clans of types C and D have length 2n and mirror themselves:
+position 2n-1-i repeats (or, in type D, flips) the sign at position i,
+and pairs mirror to pairs.  One constructor, `mirror_double`, writes
+every such clan from its first half, a clan of length n, and a closed
+or crossing choice for each pair of that half; `mirror_clans` doubles
+every half, and `is_symmetric`/`is_antisymmetric` check the mirror.
+
 Text format, unchanged by the storage: comma-separated tokens
 (``1,+,-,1``).  A compact digit form without commas (``1+-1``) is
 accepted whenever every pair id is a single digit; multi-digit ids need
@@ -28,7 +35,7 @@ from __future__ import annotations
 
 import math
 from itertools import combinations, product
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     MalformedToken,
@@ -99,11 +106,6 @@ class Clan:
                         out[i] = out[m]
             self._symbols = tuple(out)
         return self._symbols
-
-    @property
-    def mates(self) -> tuple:
-        """mates[i] is the position paired with i, or -1 at a sign."""
-        return tuple(m if isinstance(m, int) else -1 for m in self.code)
 
     @property
     def pairs(self) -> tuple:
@@ -205,16 +207,43 @@ def enumerate_clans(p: int, q: int) -> list[Clan]:
     return out
 
 
-def mirror_clans(n: int, opposite: bool) -> list[Clan]:
-    """All clans of length 2n equal to their own mirror image:
-    position 2n-1-i carries the sign of position i (the opposite sign
-    when `opposite`), and pairs mirror to pairs, never onto themselves.
+def mirror_double(half: Clan, crossing: Sequence[bool], opposite: bool) -> Clan:
+    """The clan of length 2n fixed by `half`, of length n: position
+    2n-1-i carries the sign at i (flipped when `opposite`), and the k-th
+    pair (a, b) of `half` is closed, pairs (a, b) and (2n-1-b, 2n-1-a),
+    or, when `crossing[k]`, crossing, pairs (a, 2n-1-b) and (b, 2n-1-a).
 
-    Such a clan is fixed by its first half.  Match 2k first-half
-    positions; each matched (a, b) is either closed, the pairs (a, b)
-    and (2n-1-b, 2n-1-a), or crossing, the pairs (a, 2n-1-b) and
-    (b, 2n-1-a); sign the other positions.  Every clan comes out once.
-    Signatures are mixed: the families keep their own.
+    >>> str(mirror_double(parse_clan("1,1,+"), [True], opposite=True))
+    '1,2,+,-,1,2'
+    """
+    h = half.code
+    last = 2 * len(h) - 1
+    code = list(h) + [None] * len(h)
+    flags = iter(crossing)
+    for a, b in enumerate(h):
+        if not isinstance(b, int):
+            code[last - a] = (MINUS if b == PLUS else PLUS) if opposite else b
+        elif b > a:
+            c = last - b if next(flags) else b  # a pairs with b, or with its mirror
+            code[a], code[c] = c, a
+            code[last - a], code[last - c] = last - c, last - a
+    return Clan(tuple(code))
+
+
+def mirror_doubles(halves: Iterable[Clan], opposite: bool) -> list[Clan]:
+    """`mirror_double` of each half with each choice of crossing flags."""
+    return [
+        mirror_double(half, crossing, opposite)
+        for half in halves
+        for crossing in product((False, True), repeat=len(half.pairs))
+    ]
+
+
+def mirror_clans(n: int, opposite: bool) -> list[Clan]:
+    """All clans of length 2n equal to their own mirror image: the
+    `mirror_double` of every clan of length n under every choice of
+    crossing flags, each once.  Signatures are mixed: the families keep
+    their own.
 
     >>> [str(c) for c in mirror_clans(1, opposite=True)]
     ['+,-', '-,+']
@@ -224,27 +253,8 @@ def mirror_clans(n: int, opposite: bool) -> list[Clan]:
     if n < 0:
         raise ValueError("rank must be nonnegative")
     _check_length(2 * n)
-    last = 2 * n - 1
-    mirror_sign = {PLUS: MINUS, MINUS: PLUS} if opposite else {PLUS: PLUS, MINUS: MINUS}
-    out = []
-    for k in range(n // 2 + 1):
-        for paired in combinations(range(n), 2 * k):
-            rest = [i for i in range(n) if i not in paired]
-            for matching in _perfect_matchings(paired):
-                for crossing in product((False, True), repeat=k):
-                    base: list = [None] * (2 * n)
-                    for (a, b), cross in zip(matching, crossing):
-                        # a pairs with b, or with the mirror of b
-                        c = last - b if cross else b
-                        base[a], base[c] = c, a
-                        base[last - a], base[last - c] = last - c, last - a
-                    for signs in product((PLUS, MINUS), repeat=len(rest)):
-                        code = base[:]
-                        for i, s in zip(rest, signs):
-                            code[i] = s
-                            code[last - i] = mirror_sign[s]
-                        out.append(Clan(tuple(code)))
-    return out
+    halves = (half for p in range(n, -1, -1) for half in enumerate_clans(p, n - p))
+    return mirror_doubles(halves, opposite)
 
 
 def _check_length(length: int) -> None:
@@ -381,25 +391,6 @@ def negate(clan: Clan) -> Clan:
     )
 
 
-def reverse_rename(clan: Clan) -> Clan:
-    """Reverse the position order; pair ids renumber canonically."""
-    last = len(clan) - 1
-    return Clan(tuple(last - m if isinstance(m, int) else m for m in clan.code[::-1]))
-
-
-def reverse_negate_rename(clan: Clan) -> Clan:
-    return negate(reverse_rename(clan))
-
-
-def concat(*clans: Clan) -> Clan:
-    """Juxtapose: each clan's mate positions shift by the length before it."""
-    code: list = []
-    for c in clans:
-        offset = len(code)
-        code.extend(m + offset if isinstance(m, int) else m for m in c.code)
-    return Clan(tuple(code))
-
-
 def block(clan: Clan, lo: int, hi: int) -> Clan | None:
     """Positions lo..hi-1 as a clan of their own, or None when a pair
     leaves them.
@@ -417,18 +408,20 @@ def block(clan: Clan, lo: int, hi: int) -> Clan | None:
     return Clan(tuple(m - lo if isinstance(m, int) else m for m in code))
 
 
-def _check_even(clan: Clan) -> int:
-    n2 = len(clan)
-    if n2 % 2:
-        raise OddLength(f"clan of odd length {n2} has no mirror structure")
-    return n2
-
-
-def _mirror_pairs_ok(clan: Clan) -> bool:
+def _is_mirror(clan: Clan, opposite: bool) -> bool:
+    """Position 2n-1-i carries the sign of i (the opposite sign when
+    `opposite`); pairs mirror to pairs, never onto themselves.  A sign
+    facing a pair fails at the pair, whose mirror holds no mate."""
     code = clan.code
+    if len(code) % 2:
+        raise OddLength(f"clan of odd length {len(code)} has no mirror structure")
     last = len(code) - 1
-    for i, j in enumerate(code):
-        if isinstance(j, int) and (j == last - i or code[last - i] != last - j):
+    for i, m in enumerate(code):
+        other = code[last - i]
+        if isinstance(m, int):
+            if m == last - i or other != last - m:
+                return False
+        elif (other == m) == opposite:
             return False
     return True
 
@@ -436,13 +429,7 @@ def _mirror_pairs_ok(clan: Clan) -> bool:
 def is_symmetric(clan: Clan) -> bool:
     """Mirror position carries the same sign; pairs mirror to pairs,
     never onto themselves."""
-    _check_even(clan)
-    code = clan.code
-    last = len(code) - 1
-    for i, s in enumerate(code):
-        if not isinstance(s, int) and code[last - i] != s:
-            return False
-    return _mirror_pairs_ok(clan)
+    return _is_mirror(clan, opposite=False)
 
 
 CONVENTIONS = ("paper", "figure")
@@ -467,18 +454,9 @@ def is_antisymmetric(clan: Clan, convention: str = "paper") -> bool:
     """
     if convention not in CONVENTIONS:
         raise ValueError(f"unknown convention {convention!r}")
-    n2 = _check_even(clan)
-    n = n2 // 2
-    code = clan.code
-    last = n2 - 1
-    for i, s in enumerate(code):
-        if not isinstance(s, int):
-            other = code[last - i]
-            if isinstance(other, int) or other == s:
-                return False
-    if not _mirror_pairs_ok(clan):
+    if not _is_mirror(clan, opposite=True):
         return False
-    want = 0 if convention == "paper" else n % 2
+    want = 0 if convention == "paper" else len(clan) // 2 % 2
     return _half_parity(clan) == want
 
 

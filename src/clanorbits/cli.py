@@ -44,10 +44,10 @@ def family_poset(family, args) -> OrbitPoset:
 
 
 def orbit_rows(family, poset: OrbitPoset) -> list[dict]:
-    smooth = family.verdicts(poset)
+    smooth = family.verdicts(poset)  # checks every member: the witness needs no check
     rows = []
     for i, clan in sorted(enumerate(poset.orbits), key=lambda t: str(t[1])):
-        form = family.fiber_form(clan)
+        form = family._fiber_form(clan)
         rows.append(
             {
                 "clan": str(clan),

@@ -6,18 +6,21 @@ root names, sign-flip isogeny folding, and classification by pattern
 avoidance or a fiber-bundle form.
 
 `MirrorFamily` is the machinery types C and D share: clans of length
-2n doubled by a mirror, enumerated from their first half, the roots
-e_i - e_j and e_i + e_j of a closed orbit with their coordinate
-quadruples, and simple roots below n lifted to a mirrored pair of
-adjacent moves.  Each subclass supplies its mirror sign rule, its orbit
-count and its move for the middle root n.
+2n built by `clans.mirror_double` from their first half; the closed
+orbits, doubles of all-sign halves; the dimension, whose middle-crossing
+term changes sign with the mirror sign rule; the roots e_i - e_j and
+e_i + e_j of a closed orbit with their coordinate quadruples; and simple
+roots below n lifted to a mirrored pair of adjacent moves.  Each
+subclass supplies its sign rule, the plus counts of its closed halves,
+its enumeration, its orbit count and its move for the middle root n.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Protocol
+from typing import Callable, Iterable, Protocol
 
-from .clans import Clan, avoids_bad_patterns, mirror_clans, negate
+from .clans import Clan, all_sign_clans, avoids_bad_patterns, length_stat, negate
+from .clans import mirror_double, mirror_doubles
 from .closure import OrbitPoset, lifted_double_move
 from .errors import ClanError, ConsistencyError, InvalidRoot, NotClosed
 
@@ -41,11 +44,16 @@ class Family(Protocol):
         """The 1-based simple-root labels."""
         ...
 
-    def contains(self, clan: Clan) -> bool: ...
-
     def _check(self, clan: Clan) -> None:
         """Raise a `ClanError` unless the family contains `clan`."""
         ...
+
+    def contains(self, clan: Clan) -> bool:
+        try:
+            self._check(clan)
+        except ClanError:
+            return False
+        return True
 
     def _dimension(self, clan: Clan) -> int:
         """The dimension without the membership check: for the weak-order
@@ -143,14 +151,32 @@ def middle_crossings(clan: Clan) -> int:
     )
 
 
+def crossed_open(pairs: int, signs: tuple, opposite: bool) -> Clan:
+    """`pairs` adjacent pairs, then `signs`, doubled with every pair
+    crossing: the open orbits of types C and D."""
+    half = Clan(tuple(i ^ 1 for i in range(2 * pairs)) + signs)
+    return mirror_double(half, (True,) * pairs, opposite)
+
+
 class MirrorFamily(Family):
     """Clans of length 2n whose position k mirrors position 2n+1-k."""
 
     #: mirror positions carry opposite signs (type D), not equal ones (type C)
     opposite: bool
+    #: the plus counts of the first halves of the closed orbits
+    closed_plus: Iterable[int]
 
-    def enumerate(self) -> list[Clan]:
-        return [c for c in mirror_clans(self.n, self.opposite) if self.contains(c)]
+    def closed_clans(self) -> list[Clan]:
+        halves = (h for plus in self.closed_plus for h in all_sign_clans(self.n, plus))
+        return mirror_doubles(halves, self.opposite)
+
+    def _dimension(self, clan: Clan) -> int:
+        """d(K) + (l +- middle crossings)/2: minus when `opposite`."""
+        crossings = middle_crossings(clan)
+        total = length_stat(clan) + (-crossings if self.opposite else crossings)
+        if total % 2:
+            raise ConsistencyError(f"odd length statistic for clan {clan}")
+        return self.d_K + total // 2
 
     def _middle_move(self, code: tuple):
         """The code after the move of the middle root n, or None."""

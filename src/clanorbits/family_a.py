@@ -51,11 +51,8 @@ class FamilyA(Family):
     def root_indices(self) -> range:
         return range(1, self.n)
 
-    def contains(self, clan: Clan) -> bool:
-        return len(clan) == self.n and clan.signature == (self.p, self.q)
-
     def _check(self, clan: Clan) -> None:
-        if not self.contains(clan):
+        if len(clan) != self.n or clan.signature != (self.p, self.q):
             raise SignatureMismatch(
                 f"{clan} has signature {clan.signature}, family wants {(self.p, self.q)}"
             )

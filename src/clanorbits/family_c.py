@@ -21,30 +21,24 @@ from .clans import (
     Clan,
     MINUS,
     PLUS,
-    all_sign_clans,
+    _check_length,
     avoids_bad_patterns,
     block,
     count_mirror_clans,
+    enumerate_clans,
     is_symmetric,
-    length_stat,
+    mirror_doubles,
 )
 from .closure import _move
-from .errors import ClanError, ConsistencyError, NotSymmetric, SignatureMismatch
-from .family import MirrorFamily, middle_crossings
+from .errors import ClanError, NotSymmetric, SignatureMismatch
+from .family import MirrorFamily, crossed_open
 
 
 def gamma_circ_c(p: int, q: int) -> Clan:
-    """Open-orbit clan: ascending run, doubled sign block, crossed tail.
-
-    Length 2p + 2q; the sign block has 2|p - q| entries ('+' when p > q).
-    """
-    k = min(p, q)
-    sign = PLUS if p >= q else MINUS
-    head = list(range(1, 2 * k + 1))
-    tail: list[int] = []
-    for t in range(k, 0, -1):
-        tail += [2 * t - 1, 2 * t]
-    return Clan.from_symbols(head + [sign] * (2 * abs(p - q)) + tail)
+    """Open-orbit clan: ascending run, doubled sign block, crossed tail,
+    i.e. min(p, q) adjacent pairs and |p - q| signs ('+' when p > q),
+    doubled with every pair crossing."""
+    return crossed_open(min(p, q), (PLUS if p >= q else MINUS,) * abs(p - q), False)
 
 
 @dataclass(frozen=True)
@@ -105,6 +99,7 @@ class FamilyC(MirrorFamily):
         self.n = p + q
         self.clan_length = 2 * self.n
         self.d_K = p * p + q * q
+        self.closed_plus = (p,)
 
     def meta(self) -> dict:
         return {"family": "c", "p": self.p, "q": self.q}
@@ -115,36 +110,23 @@ class FamilyC(MirrorFamily):
     def root_indices(self) -> range:
         return range(1, self.n + 1)
 
-    def contains(self, clan: Clan) -> bool:
-        return (
-            len(clan) == self.clan_length
-            and clan.signature == (2 * self.p, 2 * self.q)
-            and is_symmetric(clan)
-        )
-
     def _check(self, clan: Clan) -> None:
         if len(clan) != self.clan_length or clan.signature != (2 * self.p, 2 * self.q):
             raise SignatureMismatch(f"{clan} does not live in Sp({self.p},{self.q})")
         if not is_symmetric(clan):
             raise NotSymmetric(f"{clan} is not mirror-symmetric")
 
-    def _dimension(self, clan: Clan) -> int:
-        total = length_stat(clan) + middle_crossings(clan)
-        if total % 2:
-            raise ConsistencyError(f"odd length statistic for clan {clan}")
-        return self.d_K + total // 2
-
     def _middle_move(self, code: tuple):
         return _move(code, self.n - 1)
 
+    def enumerate(self) -> list[Clan]:
+        """The doubles of the clans of signature (p, q): a first half of
+        signature (p, q) doubles to one of (2p, 2q), under either flag."""
+        _check_length(self.clan_length)  # before the halves, which pass their own cap
+        return mirror_doubles(enumerate_clans(self.p, self.q), opposite=False)
+
     def count(self) -> int:
         return count_mirror_clans(self.n, self.p)
-
-    def closed_clans(self) -> list[Clan]:
-        out = []
-        for half in all_sign_clans(self.n, self.p):
-            out.append(Clan(half.code + half.code[::-1]))
-        return out
 
     def open_clan(self) -> Clan:
         return gamma_circ_c(self.p, self.q)

@@ -38,36 +38,30 @@ from .clans import (
     MINUS,
     PLUS,
     _half_parity,
-    all_sign_clans,
+    _is_mirror,
     avoids_bad_patterns,
     block,
     count_mirror_clans,
     is_antisymmetric,
-    length_stat,
+    mirror_clans,
+    mirror_double,
     negate,
 )
 from .closure import _swap, lifted_double_move
-from .errors import ClanError, ConsistencyError, NeitherAntisymmetric, NotAntisymmetric
-from .family import MirrorFamily, middle_crossings
+from .errors import ClanError, NeitherAntisymmetric, NotAntisymmetric
+from .family import MirrorFamily, crossed_open
 
 ISOGENY_LEVELS_D = ("sc", "so", "so-prime", "adjoint")
 
 
 def gamma_circ_d(n: int) -> Clan:
-    """Open-orbit clan under the default (even-parity) convention.
-
-    Even n: crossed runs with no signs.  Odd n: the same around a central
-    '-,+'.  The other convention's open orbit is the global sign flip.
+    """Open-orbit clan under the default (even-parity) convention: n // 2
+    adjacent pairs, then '-' when n is odd, doubled with every pair
+    crossing.  The other convention's open orbit is the global sign flip.
     """
     if n < 1:
         raise ValueError("rank must be at least 1")
-    m = n // 2
-    head = list(range(1, 2 * m + 1))
-    tail: list[int] = []
-    for t in range(m, 0, -1):
-        tail += [2 * t - 1, 2 * t]
-    middle = [] if n % 2 == 0 else [MINUS, PLUS]
-    return Clan.from_symbols(head + middle + tail)
+    return crossed_open(n // 2, (MINUS,) * (n % 2), True)
 
 
 @dataclass(frozen=True)
@@ -181,6 +175,9 @@ class FamilyD(MirrorFamily):
         self.convention = convention
         self.clan_length = 2 * n
         self.d_K = n * (n - 1) // 2
+        #: plus signs plus whole pairs of the first half, mod 2
+        self.parity = 0 if convention == "paper" else n % 2
+        self.closed_plus = range(self.parity, n + 1, 2)
 
     def meta(self) -> dict:
         return {"family": "d", "n": self.n, "convention": self.convention}
@@ -192,20 +189,11 @@ class FamilyD(MirrorFamily):
         # rank 1 is a torus: no simple roots at all
         return range(1, self.n + 1) if self.n >= 2 else range(0)
 
-    def contains(self, clan: Clan) -> bool:
-        return len(clan) == self.clan_length and is_antisymmetric(clan, self.convention)
-
     def _check(self, clan: Clan) -> None:
-        if not self.contains(clan):
+        if len(clan) != self.clan_length or not is_antisymmetric(clan, self.convention):
             raise NotAntisymmetric(
                 f"{clan} is not antisymmetric of rank {self.n} ({self.convention} convention)"
             )
-
-    def _dimension(self, clan: Clan) -> int:
-        total = length_stat(clan) - middle_crossings(clan)
-        if total % 2:
-            raise ConsistencyError(f"odd length statistic for clan {clan}")
-        return self.d_K + total // 2
 
     def _middle_move(self, code: tuple):
         # conjugate by the middle swap, lift root n-1, conjugate back
@@ -213,23 +201,15 @@ class FamilyD(MirrorFamily):
         moved = lifted_double_move(_swap(code, n - 1, n), n - 2, n)
         return None if moved is None else _swap(moved, n - 1, n)
 
+    def enumerate(self) -> list[Clan]:
+        return [c for c in mirror_clans(self.n, opposite=True) if _half_parity(c) == self.parity]
+
     def count(self) -> int:
         # the first half fixes a mirror clan under either sign rule, so
         # opposite-sign ones are as many as equal-sign ones of every
         # signature; flipping a first-half sign, or the shape of a matched
         # pair, flips the half parity, so each convention keeps half
         return sum(count_mirror_clans(self.n, p) for p in range(self.n + 1)) // 2
-
-    def closed_clans(self) -> list[Clan]:
-        want = 0 if self.convention == "paper" else self.n % 2
-        out = []
-        for plus_count in range(self.n + 1):
-            if plus_count % 2 != want:
-                continue
-            for half in all_sign_clans(self.n, plus_count):
-                mirror = negate(Clan(half.code[::-1]))
-                out.append(Clan(half.code + mirror.code))
-        return out
 
     def open_clan(self) -> Clan:
         base = gamma_circ_d(self.n)
@@ -266,8 +246,9 @@ class FamilyD(MirrorFamily):
         return self.tau
 
 
-# Compressed 4-symbol notation for rank-4 clans: signs are copied from
-# the first half; a lower-case letter at positions i < j <= 4 is the pair
+# Compressed 4-symbol notation for rank-4 clans: the first half, with
+# each pair written as a letter, and its crossing flag as the letter's
+# case: a lower-case letter at positions i < j <= 4 is the closed pair
 # (i, j) plus its mirror; an upper-case letter at (i, j) is the crossing
 # pair (i, 9-j) plus its mirror.
 
@@ -275,57 +256,32 @@ def expand_compressed(text: str) -> Clan:
     if len(text) != 4:
         raise ValueError("compressed form encodes rank-4 clans with 4 symbols")
     letters: dict[str, list[int]] = {}
-    for pos, ch in enumerate(text, start=1):
-        if ch in (PLUS, MINUS):
-            continue
-        if not ch.isalpha():
-            raise ValueError(f"bad compressed symbol {ch!r}")
-        letters.setdefault(ch, []).append(pos)
-    out: list = [None] * 8
-    pid = 0
+    for pos, ch in enumerate(text):
+        if ch not in (PLUS, MINUS):
+            if not ch.isalpha():
+                raise ValueError(f"bad compressed symbol {ch!r}")
+            letters.setdefault(ch, []).append(pos)
+    half = list(text)
     for ch, positions in letters.items():
         if len(positions) != 2:
             raise ValueError(f"letter {ch!r} must occur exactly twice")
         i, j = positions
-        if ch.islower():
-            pairs = ((i, j), (9 - j, 9 - i))
-        else:
-            pairs = ((i, 9 - j), (j, 9 - i))
-        for a, b in pairs:
-            pid += 1
-            out[a - 1] = out[b - 1] = pid
-    for pos, ch in enumerate(text, start=1):
-        if ch in (PLUS, MINUS):
-            out[pos - 1] = ch
-            out[8 - pos] = MINUS if ch == PLUS else PLUS
-    if any(s is None for s in out):
-        raise ValueError(f"compressed form {text!r} does not fill all 8 positions")
-    return Clan.from_symbols(out)
+        half[i], half[j] = j, i
+    # letters in order of first occurrence are the half's pairs in order
+    return mirror_double(Clan(tuple(half)), [not ch.islower() for ch in letters], True)
 
 
 def compress(clan: Clan) -> str:
     if len(clan) != 8:
         raise ValueError("compressed form encodes rank-4 clans only")
-    out: list[str] = [""] * 4
-    lower = iter("abcdefgh")
-    upper = iter("ABCDEFGH")
-    seen: set[frozenset[int]] = set()
-    for i, j in clan.pairs:
-        a, b = i + 1, j + 1
-        if b <= 4:
-            spots, letters = frozenset((a, b)), lower
-        elif a > 4:
-            continue  # mirror image of a pair already handled from the first half
-        else:
-            spots, letters = frozenset((a, 9 - b)), upper
-        if spots in seen:
-            continue
-        seen.add(spots)
-        ch = next(letters)
-        for pos in spots:
-            out[pos - 1] = ch
-    for pos in range(1, 5):
-        s = clan.symbols[pos - 1]
-        if not isinstance(s, int):
-            out[pos - 1] = s
+    if not _is_mirror(clan, opposite=True):
+        raise ValueError(f"{clan} is not mirror-antisymmetric")
+    letters = {False: iter("abcd"), True: iter("ABCD")}
+    out = list(clan.code[:4])
+    for a, m in enumerate(clan.code[:4]):
+        if isinstance(m, int):
+            crossing = m >= 4
+            b = 7 - m if crossing else m  # a's mate in the first half
+            if a < b:
+                out[a] = out[b] = next(letters[crossing])
     return "".join(out)

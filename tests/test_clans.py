@@ -10,7 +10,6 @@ from clanorbits import (
     BAD_PATTERNS,
     Clan,
     avoids_bad_patterns,
-    concat,
     count_clans,
     enumerate_clans,
     includes_pattern,
@@ -20,8 +19,6 @@ from clanorbits import (
     mirror_clans,
     negate,
     parse_clan,
-    reverse_negate_rename,
-    reverse_rename,
 )
 from clanorbits.clans import MINUS, PLUS
 from clanorbits.errors import (
@@ -30,6 +27,8 @@ from clanorbits.errors import (
     PairCountNotTwo,
     RankTooLarge,
 )
+
+from clan_transforms import concat, mate_list, reverse_negate_rename, reverse_rename
 
 P = parse_clan
 
@@ -226,7 +225,7 @@ def test_canonical_form_idempotent(c):
     and a pair's two positions carry one label and are each other's mates."""
     assert Clan.from_symbols(c.symbols) == c
     assert P(str(c)) == c
-    sym, mates = c.symbols, c.mates
+    sym, mates = c.symbols, mate_list(c)
     for i, s in enumerate(sym):
         if isinstance(s, int):
             assert [j for j, t in enumerate(sym) if t == s and j != i] == [mates[i]]

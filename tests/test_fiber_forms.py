@@ -19,17 +19,17 @@ from clanorbits import (
     FiberFormC,
     FiberFormD,
     avoids_bad_patterns,
-    concat,
     gamma_circ_c,
     gamma_circ_d,
     negate,
-    reverse_negate_rename,
-    reverse_rename,
 )
 from clanorbits.clans import _half_parity
+from clanorbits.cli import orbit_rows
 from clanorbits.closure import _swap
 from clanorbits.family_c import fiber_form_c
 from clanorbits.family_d import fiber_form_d
+
+from clan_transforms import concat, mate_list, reverse_negate_rename, reverse_rename
 
 
 # ------------------------------------------------------- symbol-form oracle
@@ -62,7 +62,7 @@ def _oracle_threaded_inner(core: Clan) -> Clan | None:
     rank = len(core) // 2
     if rank < 2:
         return None
-    mates = core.mates
+    mates = mate_list(core)
     if mates[0] != rank or mates[rank - 1] != 2 * rank - 1:
         return None
     inner = _standalone(core.symbols[1 : rank - 1])
@@ -156,6 +156,8 @@ def test_type_d_fiber_forms_match_the_oracle(family):
     ids=["C(2,2)", "D(4)"],
 )
 def test_verdicts_check_each_member_once(family, poset, members, request, monkeypatch):
+    """One `verdicts` call checks each member once, and so does one
+    `orbit_rows` call: its witness column reads the unchecked search."""
     poset = request.getfixturevalue(poset)
     cls = type(family)
     check = cls._check
@@ -168,3 +170,6 @@ def test_verdicts_check_each_member_once(family, poset, members, request, monkey
     monkeypatch.setattr(cls, "_check", counted)
     family.verdicts(poset)
     assert len(calls) == members == sum(len(m) for m in poset.members)
+    calls.clear()
+    orbit_rows(family, poset)
+    assert len(calls) == members

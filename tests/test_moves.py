@@ -18,14 +18,14 @@ from clanorbits import (
     FamilyA,
     FamilyC,
     FamilyD,
-    concat,
     enumerate_clans,
     mirror_clans,
     raising_moves_oracle,
-    reverse_rename,
     simple_move_a,
 )
 from clanorbits.errors import ConsistencyError
+
+from clan_transforms import concat, mate_list, reverse_rename
 
 PLUS, MINUS = "+", "-"
 
@@ -212,7 +212,7 @@ def test_tau_matches_the_oracle():
 
 def _oracle_raising_moves(clan: Clan) -> set[tuple]:
     sym = clan.symbols
-    mates = clan.mates
+    mates = mate_list(clan)
     n = len(sym)
     out: set[tuple] = set()
     fresh = 1 + max((s for s in sym if isinstance(s, int)), default=0)
