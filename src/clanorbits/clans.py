@@ -230,12 +230,15 @@ def mirror_double(half: Clan, crossing: Sequence[bool], opposite: bool) -> Clan:
     return Clan(tuple(code))
 
 
-def mirror_doubles(halves: Iterable[Clan], opposite: bool) -> list[Clan]:
-    """`mirror_double` of each half with each choice of crossing flags."""
+def mirror_doubles(halves: Iterable[Clan], opposite: bool, parity: int | None = None) -> list[Clan]:
+    """`mirror_double` of each half with each choice of crossing flags, or
+    only the choices that give the double the `_half_parity` `parity`:
+    the half's plus signs plus its closed pairs."""
     return [
         mirror_double(half, crossing, opposite)
         for half in halves
         for crossing in product((False, True), repeat=len(half.pairs))
+        if parity is None or (half.code.count(PLUS) + crossing.count(False)) % 2 == parity
     ]
 
 

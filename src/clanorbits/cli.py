@@ -16,7 +16,7 @@ import argparse
 import json
 import sys
 
-from .cache import load_or_build
+from .cache import load_or_build, poset_to_dict
 from .closure import OrbitPoset, quotient_poset, raising_moves_oracle
 from .errors import CacheError, ClanError, ConsistencyError, RankTooLarge
 from .family_a import FamilyA
@@ -99,11 +99,11 @@ def cmd_list(args, parser) -> int:
 
 
 def cmd_poset(args, parser) -> int:
+    if args.format == "json" and args.dot:
+        parser.error("--dot writes DOT; it does not go with --format json")
     family = make_family(args, parser)
     view = family_poset(family, args)
-    if args.format == "json" and not args.dot:
-        from .cache import poset_to_dict
-
+    if args.format == "json":
         print(json.dumps(poset_to_dict(view), indent=2))
         return 0
     text = poset_dot(family, view)
@@ -147,7 +147,7 @@ def _verify_figures(args, parser) -> int:
 def _verify_counts(args, parser) -> int:
     family = make_family(args, parser)
     expected = family.count()
-    if args.max_orbits is not None and expected > args.max_orbits:
+    if expected > args.max_orbits:
         raise RankTooLarge(f"{expected} orbits exceed the cap of {args.max_orbits}")
     orbits = family.enumerate()
     ok = len(orbits) == expected
@@ -215,7 +215,7 @@ def main(argv=None) -> int:
                        choices=("sc", "so", "so-prime", "adjoint"))
         p.add_argument("--convention", default="paper", choices=("paper", "figure"))
         p.add_argument("--cache-dir", default=None)
-        p.add_argument("--max-orbits", type=int, default=None)
+        p.add_argument("--max-orbits", type=int, default=100_000)
 
     p_list = sub.add_parser("list", help="one row per orbit or orbit class")
     add_family_flags(p_list)

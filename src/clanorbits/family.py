@@ -1,22 +1,26 @@
 """The family protocol, and the code the three families share.
 
 `Family` is what `build_poset`, the Springer cross-validation, the CLI
-and the cache read of a family, with the defaults types A and C share:
-root names, sign-flip isogeny folding, and classification by pattern
-avoidance or a fiber-bundle form.
+and the cache read of a family, with the code all three share: the root
+table (positive roots, noncompact test, Springer move), the checked
+raising move, classification, and the sign-flip isogeny folding of
+types A and C.  A family states only its data: its `root_signs`, the
+position pairs `_root_slots` of a root, its simple-root move `_raise`.
 
 `MirrorFamily` is the machinery types C and D share: clans of length
 2n built by `clans.mirror_double` from their first half; the closed
 orbits, doubles of all-sign halves; the dimension, whose middle-crossing
 term changes sign with the mirror sign rule; the roots e_i - e_j and
-e_i + e_j of a closed orbit with their coordinate quadruples; and simple
-roots below n lifted to a mirrored pair of adjacent moves.  Each
-subclass supplies its sign rule, the plus counts of its closed halves,
-its enumeration, its orbit count and its move for the middle root n.
+e_i + e_j with their mirrored slot pairs; and simple roots below n
+lifted to a mirrored pair of adjacent moves.  Each subclass supplies
+its sign rule, the plus counts of its closed halves, its enumeration,
+its orbit count and its move for the middle root n.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
+from itertools import combinations
 from typing import Callable, Iterable, Protocol
 
 from .clans import Clan, all_sign_clans, avoids_bad_patterns, length_stat, negate
@@ -64,9 +68,19 @@ class Family(Protocol):
         self._check(clan)
         return self._dimension(clan)
 
+    @cached_property
+    def _simple_roots(self) -> range:  # `raise_by` checks every move of the walk against it
+        return self.root_indices()
+
+    def _raise(self, code: tuple, root: int) -> tuple | None: ...  # the moved code, or None
+
     def raise_by(self, clan: Clan, root: int) -> Clan | None:
-        """The simple-root action when it raises dimension by one, else None."""
-        ...
+        """The simple-root action when it raises dimension by one, else None;
+        the weak-order walk checks the result's membership and grading."""
+        if root not in self._simple_roots:
+            raise InvalidRoot(f"root {root} out of range for {self!r}")
+        moved = self._raise(clan.code, root)
+        return None if moved is None else Clan(moved)
 
     def enumerate(self) -> list[Clan]: ...
 
@@ -79,15 +93,37 @@ class Family(Protocol):
 
     def open_clan(self) -> Clan: ...
 
-    def positive_roots(self) -> list[Root]:
-        """(i, j, eps) for e_i - e_j (eps = -1) and e_i + e_j (eps = +1)."""
-        ...
+    root_signs: tuple[int, ...]  # the eps of the positive roots e_i + eps e_j
 
-    def is_noncompact(self, closed: Clan, root: Root) -> bool: ...
+    def _root_slots(self, root: Root) -> tuple[tuple[int, int], ...]: ...  # 0-based
+
+    @cached_property
+    def _root_table(self) -> dict[Root, tuple[tuple[int, int], ...]]:
+        # `_root_slots` of each positive root, computed once: the explain
+        # path reads them for every root; any other root asks `_root_slots`
+        pairs = combinations(range(1, self.n + 1), 2)
+        return {(i, j, e): self._root_slots((i, j, e)) for i, j in pairs for e in self.root_signs}
+
+    def positive_roots(self) -> list[Root]:
+        """(i, j, eps), i < j <= n, for e_i - e_j (eps = -1) and e_i + e_j
+        (eps = +1), each eps of `root_signs` in turn."""
+        return list(self._root_table)
+
+    def is_noncompact(self, closed: Clan, root: Root) -> bool:
+        if not closed.is_all_signs():
+            raise NotClosed(f"{closed} is not an all-sign clan")
+        a, b = (self._root_table.get(root) or self._root_slots(root))[0]
+        return closed.code[a] != closed.code[b]
 
     def springer_move(self, closed: Clan, root: Root) -> Clan:
-        """The orbit the noncompact imaginary `root` raises `closed` to."""
-        ...
+        """The orbit the noncompact imaginary `root` raises `closed` to:
+        each slot pair of the root, two signs, becomes a pair."""
+        out = list(closed.code)
+        for a, b in self._root_table.get(root) or self._root_slots(root):
+            if isinstance(out[a], int) or isinstance(out[b], int):
+                raise NotClosed(f"position {a + 1} or {b + 1} of {closed} is not a sign")
+            out[a], out[b] = b, a
+        return Clan(tuple(out))
 
     @staticmethod
     def root_str(root: Root) -> str:
@@ -131,17 +167,6 @@ class Family(Protocol):
         return None
 
 
-def pair_signs(code: tuple, pairs) -> tuple:
-    """The code with each (a, b) of `pairs`, two signed positions, made a
-    pair: the Springer move of a closed orbit."""
-    out = list(code)
-    for a, b in pairs:
-        if isinstance(out[a], int) or isinstance(out[b], int):
-            raise NotClosed(f"position {a + 1} or {b + 1} of {Clan(code)} is not a sign")
-        out[a], out[b] = b, a
-    return tuple(out)
-
-
 def middle_crossings(clan: Clan) -> int:
     """Pairs (s, t) with s in the first half, t in the second, reaching no
     further than the mirror of s (1-based: s <= n < t <= 2n+1-s)."""
@@ -165,6 +190,7 @@ class MirrorFamily(Family):
     opposite: bool
     #: the plus counts of the first halves of the closed orbits
     closed_plus: Iterable[int]
+    root_signs = (-1, +1)  # long roots 2e_i are never noncompact imaginary
 
     def closed_clans(self) -> list[Clan]:
         halves = (h for plus in self.closed_plus for h in all_sign_clans(self.n, plus))
@@ -182,41 +208,16 @@ class MirrorFamily(Family):
         """The code after the move of the middle root n, or None."""
         raise NotImplementedError
 
-    def raise_by(self, clan: Clan, root: int) -> Clan | None:
-        """The lifted move; membership and grading of the result are
-        checked once per orbit by the weak-order walk, not per move."""
+    def _raise(self, code: tuple, root: int) -> tuple | None:
         n = self.n
-        if root not in self.root_indices():
-            raise InvalidRoot(f"root {root} out of range for {self!r}")
         if root < n:
-            moved = lifted_double_move(clan.code, root - 1, 2 * n - root - 1)
-        else:
-            moved = self._middle_move(clan.code)
-        return None if moved is None else Clan(moved)
+            return lifted_double_move(code, root - 1, 2 * n - root - 1)
+        return self._middle_move(code)
 
-    def positive_roots(self) -> list[Root]:
-        # long roots 2e_i are never noncompact imaginary, so never listed
-        out = []
-        for i in range(1, self.n + 1):
-            for j in range(i + 1, self.n + 1):
-                out.append((i, j, -1))
-                out.append((i, j, +1))
-        return out
-
-    def is_noncompact(self, closed: Clan, root: Root) -> bool:
-        if not closed.is_all_signs():
-            raise NotClosed(f"{closed} is not an all-sign clan")
-        i, j, eps = root
-        code = closed.code
-        other = j - 1 if eps < 0 else 2 * self.n - j
-        return code[i - 1] != code[other]
-
-    def springer_move(self, closed: Clan, root: Root) -> Clan:
-        """Pair up the root's coordinate quadruple: two 2-slot edits."""
+    def _root_slots(self, root: Root) -> tuple[tuple[int, int], ...]:
+        """The root's coordinate quadruple, as two mirrored slot pairs."""
         i, j, eps = root
         m = 2 * self.n
         if eps < 0:
-            quads = ((i - 1, j - 1), (m - j, m - i))
-        else:
-            quads = ((i - 1, m - j), (j - 1, m - i))
-        return Clan(pair_signs(closed.code, quads))
+            return ((i - 1, j - 1), (m - j, m - i))
+        return ((i - 1, m - j), (j - 1, m - i))

@@ -2,6 +2,7 @@
 
 Orbits are the clans of signature (p, q).  Simple roots are the adjacent
 transpositions 1..n-1; the raising action is the plain adjacent move.
+The positive roots are e_i - e_j, each pairing up positions i and j.
 Dimension is d(K) + l(clan) with d(K) = (p(p-1) + q(q-1))/2.  An orbit
 closure is smooth exactly when the clan avoids the seven bad patterns,
 and smooth and rationally smooth coincide.
@@ -15,9 +16,9 @@ from __future__ import annotations
 
 from .clans import Clan, MINUS, PLUS, all_sign_clans, count_clans, enumerate_clans, length_stat
 from .clans import avoids_bad_patterns  # noqa: F401  perfbench's tracer test patches it here
-from .closure import simple_move_a
-from .errors import ClanError, InvalidRoot, NotClosed, SignatureMismatch
-from .family import Family, pair_signs
+from .closure import _move
+from .errors import ClanError, InvalidRoot, SignatureMismatch
+from .family import Family, Root
 
 
 def nested_open_clan(p: int, q: int) -> Clan:
@@ -32,6 +33,7 @@ def nested_open_clan(p: int, q: int) -> Clan:
 
 class FamilyA(Family):
     name = "a"
+    root_signs = (-1,)
 
     def __init__(self, p: int, q: int):
         if p < 0 or q < 0:
@@ -60,10 +62,8 @@ class FamilyA(Family):
     def _dimension(self, clan: Clan) -> int:
         return self.d_K + length_stat(clan)
 
-    def raise_by(self, clan: Clan, root: int) -> Clan | None:
-        if not 1 <= root < self.n:
-            raise InvalidRoot(f"root {root} out of range 1..{self.n - 1}")
-        return simple_move_a(clan, root)
+    def _raise(self, code: tuple, root: int) -> tuple | None:
+        return _move(code, root - 1)
 
     def enumerate(self) -> list[Clan]:
         return enumerate_clans(self.p, self.q)
@@ -77,20 +77,8 @@ class FamilyA(Family):
     def open_clan(self) -> Clan:
         return nested_open_clan(self.p, self.q)
 
-    # Springer-criterion ingredients: positive roots e_i - e_j act on the
-    # all-sign clans of closed orbits.
-    def positive_roots(self) -> list[tuple[int, int, int]]:
-        return [(i, j, -1) for i in range(1, self.n + 1) for j in range(i + 1, self.n + 1)]
-
-    def is_noncompact(self, closed: Clan, root: tuple[int, int, int]) -> bool:
-        if not closed.is_all_signs():
-            raise NotClosed(f"{closed} is not an all-sign clan")
+    def _root_slots(self, root: Root) -> tuple[tuple[int, int], ...]:
         i, j, eps = root
         if eps > 0:
             raise InvalidRoot("type A has no e_i + e_j roots")
-        return closed.code[i - 1] != closed.code[j - 1]
-
-    def springer_move(self, closed: Clan, root: tuple[int, int, int]) -> Clan:
-        """The raised orbit: the two opposite signs become one pair."""
-        i, j, _ = root
-        return Clan(pair_signs(closed.code, ((i - 1, j - 1),)))
+        return ((i - 1, j - 1),)

@@ -37,14 +37,16 @@ from .clans import (
     Clan,
     MINUS,
     PLUS,
+    _check_length,
     _half_parity,
     _is_mirror,
     avoids_bad_patterns,
     block,
     count_mirror_clans,
+    enumerate_clans,
     is_antisymmetric,
-    mirror_clans,
     mirror_double,
+    mirror_doubles,
     negate,
 )
 from .closure import _swap, lifted_double_move
@@ -202,7 +204,10 @@ class FamilyD(MirrorFamily):
         return None if moved is None else _swap(moved, n - 1, n)
 
     def enumerate(self) -> list[Clan]:
-        return [c for c in mirror_clans(self.n, opposite=True) if _half_parity(c) == self.parity]
+        """The clans of `mirror_clans` of the family's parity, in its order."""
+        _check_length(self.clan_length)  # before the halves, which pass their own cap
+        halves = (h for p in range(self.n, -1, -1) for h in enumerate_clans(p, self.n - p))
+        return mirror_doubles(halves, True, self.parity)
 
     def count(self) -> int:
         # the first half fixes a mirror clan under either sign rule, so

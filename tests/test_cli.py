@@ -130,6 +130,9 @@ def test_max_orbits_stops_the_build(tmp_path):
 @pytest.mark.parametrize("argv", [
     ["list", "--family", "c", "--p", "5", "--q", "5"],  # over the length cap
     ["list", "--family", "a", "--p", "7", "--q", "7", "--max-orbits", "10"],
+    # under the length cap, but over the default --max-orbits
+    ["list", "--family", "a", "--p", "6", "--q", "6"],
+    ["verify", "counts", "--family", "a", "--p", "8", "--q", "8"],
 ])
 def test_oversized_input_fails_fast(argv, capsys):
     start = time.perf_counter()
@@ -138,12 +141,16 @@ def test_oversized_input_fails_fast(argv, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
-def test_usage_errors():
+def test_usage_errors(tmp_path):
     with pytest.raises(SystemExit) as err:
         main(["list", "--family", "d"])  # missing --n
     assert err.value.code == 2
     with pytest.raises(SystemExit) as err:
         main(["verify", "springer"])  # missing --family
+    assert err.value.code == 2
+    with pytest.raises(SystemExit) as err:
+        main(["poset", "--family", "a", "--p", "1", "--q", "1", "--format", "json",
+              "--dot", str(tmp_path / "x.dot")])  # DOT output with a JSON format
     assert err.value.code == 2
 
 

@@ -12,7 +12,7 @@ from clanorbits import (
     parse_clan,
     quotient_poset,
 )
-from clanorbits.errors import NotClosed, SignatureMismatch
+from clanorbits.errors import InvalidRoot, NotClosed, SignatureMismatch
 
 P = parse_clan
 
@@ -89,3 +89,14 @@ def test_springer_root_data():
     assert fa.root_str((1, 4, -1)) == "e1-e4"
     with pytest.raises(NotClosed):
         fa.is_noncompact(P("1,1,+,-"), (1, 2, -1))
+
+
+def test_type_a_refuses_roots_it_lacks():
+    fa = FamilyA(2, 2)
+    with pytest.raises(InvalidRoot):  # type A has no e_i + e_j roots
+        fa.springer_move(P("+,-,-,+"), (1, 2, 1))
+    with pytest.raises(InvalidRoot):
+        fa.is_noncompact(P("+,-,-,+"), (1, 2, 1))
+    for root in (0, 4):  # the simple roots are 1..n-1
+        with pytest.raises(InvalidRoot):
+            fa.raise_by(P("+,-,-,+"), root)

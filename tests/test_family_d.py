@@ -24,6 +24,18 @@ def test_enumerate_counts():
     assert {str(c) for c in FamilyD(2).enumerate()} == {"+,+,-,-", "-,-,+,+", "1,2,1,2"}
 
 
+def test_enumerate_doubles_only_the_kept_flags(monkeypatch):
+    # each half is doubled under the flags of the wanted parity only, so
+    # every mirror_double call gives a kept clan
+    import clanorbits.clans as clans
+
+    calls = []
+    double = clans.mirror_double
+    monkeypatch.setattr(clans, "mirror_double", lambda *a: calls.append(a) or double(*a))
+    assert len(FamilyD(6).enumerate()) == 692
+    assert len(calls) == 692
+
+
 def test_enumeration_matches_move_closure():
     # build_poset asserts the seeded move closure equals the predicate
     for n in (2, 3, 4):

@@ -21,6 +21,29 @@ from clanorbits.springer import raised_masks, root_count
 P = parse_clan
 
 
+def test_positive_roots_match_the_per_family_lists():
+    # the lists each family wrote out before the root table was shared
+    def type_a(n):
+        return [(i, j, -1) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+
+    def mirror(n):
+        out = []
+        for i in range(1, n + 1):
+            for j in range(i + 1, n + 1):
+                out.append((i, j, -1))
+                out.append((i, j, +1))
+        return out
+
+    for n in range(8):
+        for p in range(n + 1):
+            assert FamilyA(p, n - p).positive_roots() == type_a(n)
+    for n in range(1, 6):
+        for p in range(n + 1):
+            assert FamilyC(p, n - p).positive_roots() == mirror(n)
+        for convention in ("paper", "figure"):
+            assert FamilyD(n, convention).positive_roots() == mirror(n)
+
+
 def raised_by_roots(family, closed):
     """(root, raised clan) for every noncompact imaginary positive root."""
     return [
