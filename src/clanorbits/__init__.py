@@ -3,7 +3,7 @@
 Enumerates the orbits of the U(p,q), Sp(p,q) and SO*(2n) families via
 clans, builds the full closure order from the weak order by diamond
 completion, and classifies each orbit closure as smooth or not
-rationally smooth twice over: by the seven-pattern avoidance criteria
+rationally smooth twice over: by the eight-pattern avoidance criteria
 and independently by root counting over closed orbits.
 """
 

@@ -16,7 +16,8 @@ store ``(1, 0, 3, 2)``, equality is tuple equality, and a move edits a
 few slots without relabelling the rest.  The labelled form
 (`Clan.symbols`, pair ids 1, 2, 3, ... in order of first occurrence) is
 derived from the code once per clan, for the text format only; code
-that cuts a clan into blocks reads the code through `block`.
+that cuts a clan into blocks finds the cut points with `cuts` and
+reads each block through `block`.
 
 The clans of types C and D have length 2n and mirror themselves:
 position 2n-1-i repeats (or, in type D, flips) the sign at position i,
@@ -384,7 +385,30 @@ BAD_PATTERNS: tuple[Clan, ...] = tuple(
 
 
 def avoids_bad_patterns(clan: Clan) -> bool:
-    return not any(includes_pattern(clan, bad) for bad in BAD_PATTERNS)
+    """True when `clan` contains none of the `BAD_PATTERNS`, which stay
+    the definition (`includes_pattern` against each is the oracle).
+
+    Read on single pairs (McGovern's type-A criterion), the eight
+    patterns ask of each pair (s, t) one of three things: t = s + 1; one
+    pair directly inside, s + 1 paired with t - 1; or an interior of
+    signs only, all of one sign.  A pair that passes by the middle rule
+    reads none of its interior.  A pair whose interior is read passes
+    only when that interior is all signs, which no other passing pair
+    reads, and the first pair that fails ends the scan: the test is
+    linear in the length.
+
+    >>> avoids_bad_patterns(parse_clan("1,2,+,+,2,1"))
+    True
+    >>> avoids_bad_patterns(parse_clan("1,2,2,3,3,1"))
+    False
+    """
+    code = clan.code
+    for s, t in enumerate(code):
+        if isinstance(t, int) and t > s + 1 and code[s + 1] != t - 1:
+            sign = code[s + 1]
+            if isinstance(sign, int) or code[s + 2 : t].count(sign) != t - s - 2:
+                return False
+    return True
 
 
 def negate(clan: Clan) -> Clan:
@@ -409,6 +433,24 @@ def block(clan: Clan, lo: int, hi: int) -> Clan | None:
     if any(isinstance(m, int) and not lo <= m < hi for m in code):
         return None
     return Clan(tuple(m - lo if isinstance(m, int) else m for m in code))
+
+
+def cuts(code: tuple) -> Iterator[int]:
+    """The cut points of a code, in order: the m, 0 <= m <= len(code),
+    that no pair steps over, read off one running max of mate positions.
+    `block` cuts positions lo..hi-1 out whole when lo and hi are both
+    cut points.
+
+    >>> list(cuts(parse_clan("1,+,2,2,1,-").code))
+    [0, 5, 6]
+    """
+    reach = 0  # one past the furthest mate seen so far
+    for m, x in enumerate(code):
+        if m >= reach:
+            yield m
+        if isinstance(x, int) and x >= reach:
+            reach = x + 1
+    yield len(code)
 
 
 def _is_mirror(clan: Clan, opposite: bool) -> bool:

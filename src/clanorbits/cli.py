@@ -44,17 +44,17 @@ def family_poset(family, args) -> OrbitPoset:
 
 
 def orbit_rows(family, poset: OrbitPoset) -> list[dict]:
-    smooth = family.verdicts(poset)  # checks every member: the witness needs no check
+    judged = family.witnessed_verdicts(poset)  # checks every member once
     rows = []
     for i, clan in sorted(enumerate(poset.orbits), key=lambda t: str(t[1])):
-        form = family._fiber_form(clan)
+        smooth, form = judged[i]
         rows.append(
             {
                 "clan": str(clan),
                 "members": [str(m) for m in poset.members[i]],
                 "dim": poset.dims[i],
                 "closed": clan.is_all_signs(),
-                "smooth": smooth[i],
+                "smooth": smooth,
                 "fiber_form": form.describe() if form else "",
             }
         )

@@ -39,6 +39,7 @@ class Family(Protocol):
 
     name: str
     n: int
+    clan_length: int
 
     def meta(self) -> dict:
         """The JSON-able parameters that identify the family (cache key)."""
@@ -109,17 +110,30 @@ class Family(Protocol):
         (eps = +1), each eps of `root_signs` in turn."""
         return list(self._root_table)
 
+    def _slots(self, root: Root) -> tuple[tuple[int, int], ...]:
+        """The root's slot pairs: from the table, or checked to lie in the clans."""
+        slots = self._root_table.get(root)
+        if slots is None:
+            slots = self._root_slots(root)
+            if not all(0 <= k < self.clan_length for pair in slots for k in pair):
+                raise InvalidRoot(f"root {self.root_str(root)} leaves the clans of {self!r}")
+        return slots
+
     def is_noncompact(self, closed: Clan, root: Root) -> bool:
         if not closed.is_all_signs():
             raise NotClosed(f"{closed} is not an all-sign clan")
-        a, b = (self._root_table.get(root) or self._root_slots(root))[0]
+        return self._is_noncompact(closed, root)
+
+    def _is_noncompact(self, closed: Clan, root: Root) -> bool:
+        # unchecked, for the raise loop, which checks its closed orbit once
+        a, b = self._slots(root)[0]
         return closed.code[a] != closed.code[b]
 
     def springer_move(self, closed: Clan, root: Root) -> Clan:
         """The orbit the noncompact imaginary `root` raises `closed` to:
         each slot pair of the root, two signs, becomes a pair."""
         out = list(closed.code)
-        for a, b in self._root_table.get(root) or self._root_slots(root):
+        for a, b in self._slots(root):
             if isinstance(out[a], int) or isinstance(out[b], int):
                 raise NotClosed(f"position {a + 1} or {b + 1} of {closed} is not a sign")
             out[a], out[b] = b, a
@@ -148,12 +162,20 @@ class Family(Protocol):
         """`classify` per node of `poset`.  Every member of a node is
         classified: smoothness does not depend on the isogeny level, so
         members of one class that disagree raise `ConsistencyError`."""
+        return [_agreed(orbit, {self.classify(m) for m in members})
+                for orbit, members in zip(poset.orbits, poset.members)]
+
+    def witnessed_verdicts(self, poset: OrbitPoset) -> list[tuple[bool, object]]:
+        """`verdicts`, each with the fiber-form witness of the node's
+        representative, searched once: the representative's verdict is
+        read off its witness, the other members go through `classify`."""
         out = []
         for orbit, members in zip(poset.orbits, poset.members):
-            found = {self.classify(m) for m in members}
-            if len(found) != 1:
-                raise ConsistencyError(f"classification differs across the class of {orbit}")
-            out.append(found.pop())
+            self._check(orbit)
+            form = self._fiber_form(orbit)
+            found = {avoids_bad_patterns(orbit) or form is not None}
+            found.update(self.classify(m) for m in members if m != orbit)
+            out.append((_agreed(orbit, found), form))
         return out
 
     def isogeny_fold(self, level: str) -> Callable[[Clan], Clan] | None:
@@ -165,6 +187,13 @@ class Family(Protocol):
         if level == "adjoint" and self.p == self.q:
             return negate
         return None
+
+
+def _agreed(orbit: Clan, found: set[bool]) -> bool:
+    """The one verdict of the class of `orbit`."""
+    if len(found) != 1:
+        raise ConsistencyError(f"classification differs across the class of {orbit}")
+    return found.pop()
 
 
 def middle_crossings(clan: Clan) -> int:

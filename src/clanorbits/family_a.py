@@ -4,7 +4,7 @@ Orbits are the clans of signature (p, q).  Simple roots are the adjacent
 transpositions 1..n-1; the raising action is the plain adjacent move.
 The positive roots are e_i - e_j, each pairing up positions i and j.
 Dimension is d(K) + l(clan) with d(K) = (p(p-1) + q(q-1))/2.  An orbit
-closure is smooth exactly when the clan avoids the seven bad patterns,
+closure is smooth exactly when the clan avoids the eight bad patterns,
 and smooth and rationally smooth coincide.
 
 When p = q the adjoint form's symmetric subgroup gains a component and

@@ -23,8 +23,8 @@ from .clans import (
     PLUS,
     _check_length,
     avoids_bad_patterns,
-    block,
     count_mirror_clans,
+    cuts,
     enumerate_clans,
     is_symmetric,
     mirror_doubles,
@@ -34,11 +34,18 @@ from .errors import ClanError, NotSymmetric, SignatureMismatch
 from .family import MirrorFamily, crossed_open
 
 
+@lru_cache(maxsize=128)  # the fiber-form search asks for cores by signature
 def gamma_circ_c(p: int, q: int) -> Clan:
     """Open-orbit clan: ascending run, doubled sign block, crossed tail,
     i.e. min(p, q) adjacent pairs and |p - q| signs ('+' when p > q),
     doubled with every pair crossing."""
     return crossed_open(min(p, q), (PLUS if p >= q else MINUS,) * abs(p - q), False)
+
+
+@lru_cache(maxsize=1024)
+def _placed_core_c(p: int, q: int, at: int) -> tuple:
+    """The code of `gamma_circ_c(p, q)` placed at position `at`."""
+    return tuple(m + at if isinstance(m, int) else m for m in gamma_circ_c(p, q).code)
 
 
 @dataclass(frozen=True)
@@ -65,25 +72,28 @@ class FiberFormC:
         )
 
 
-@lru_cache(maxsize=None)
 def fiber_form_c(clan: Clan) -> FiberFormC | None:
-    """Search all core sizes for a smooth-fiber decomposition of a
-    mirror-symmetric clan; its signature (2p, 2q) fixes each core's.
-    The mirror (`FamilyC.fiber_form` checks it) makes a prefix that no
-    pair leaves fix its suffix, so only the middle block is compared."""
-    n = len(clan) // 2
+    """Search the cut points m <= n of a mirror-symmetric clan for a
+    smooth-fiber decomposition; its signature (2p, 2q) and the prefix's
+    fix each core's.  The mirror (`FamilyC.fiber_form` checks it) makes
+    a prefix that no pair leaves fix its suffix, so only the middle of
+    the code is compared, with the open core's code placed at m."""
+    code = clan.code
+    n = len(code) // 2
     p, q = (half // 2 for half in clan.signature)
-    for m in range(0, n + 1):
-        prefix = block(clan, 0, m)
-        if prefix is None:
-            continue
-        r, s = prefix.signature
+    for m in cuts(code):
+        if m > n:
+            break
+        head = code[:m]
+        plus, minus = head.count(PLUS), head.count(MINUS)
+        r, s = (m + plus - minus) // 2, (m - plus + minus) // 2
         core_p, core_q = p - r, q - s
         if core_p < 0 or core_q < 0:
             continue
-        core = gamma_circ_c(core_p, core_q)
-        if block(clan, m, 2 * n - m) == core and avoids_bad_patterns(prefix):
-            return FiberFormC(prefix, core, r, s, core_p, core_q)
+        if code[m : 2 * n - m] == _placed_core_c(core_p, core_q, m):
+            prefix = Clan(head)
+            if avoids_bad_patterns(prefix):
+                return FiberFormC(prefix, gamma_circ_c(core_p, core_q), r, s, core_p, core_q)
     return None
 
 

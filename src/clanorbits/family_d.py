@@ -43,6 +43,7 @@ from .clans import (
     avoids_bad_patterns,
     block,
     count_mirror_clans,
+    cuts,
     enumerate_clans,
     is_antisymmetric,
     mirror_double,
@@ -56,6 +57,7 @@ from .family import MirrorFamily, crossed_open
 ISOGENY_LEVELS_D = ("sc", "so", "so-prime", "adjoint")
 
 
+@lru_cache(maxsize=32)  # the fiber-form search asks for cores by rank
 def gamma_circ_d(n: int) -> Clan:
     """Open-orbit clan under the default (even-parity) convention: n // 2
     adjacent pairs, then '-' when n is odd, doubled with every pair
@@ -64,6 +66,13 @@ def gamma_circ_d(n: int) -> Clan:
     if n < 1:
         raise ValueError("rank must be at least 1")
     return crossed_open(n // 2, (MINUS,) * (n % 2), True)
+
+
+@lru_cache(maxsize=32)
+def _open_codes_d(n: int) -> tuple[tuple, tuple]:
+    """The codes of `gamma_circ_d(n)` and of its sign flip."""
+    base = gamma_circ_d(n)
+    return base.code, negate(base).code
 
 
 @dataclass(frozen=True)
@@ -122,37 +131,41 @@ def _threaded_inner(core: Clan) -> Clan | None:
     return inner if avoids_bad_patterns(wrapped) else None
 
 
-@lru_cache(maxsize=None)
 def fiber_form_d(clan: Clan) -> FiberFormD | None:
     """Smooth fiber-bundle witness for a mirror-antisymmetric clan.
 
     The whole clan may be the open clan up to sign flip or a threaded
-    block; otherwise every pattern-avoiding flank is peeled off and the
-    remaining core (read through the outer twist when its rank is even
-    and its first-half parity odd) must avoid the bad patterns or carry
-    a witness of its own.  Convention-free: only the mirror structure
-    matters, so it applies to central blocks whose parity class differs
-    from their ambient clan's.  The members `FamilyD.fiber_form` checks,
-    and the cores and twisted readings the recursion passes, are all
-    mirror-antisymmetric: a flank that no pair leaves fixes its suffix.
+    block; otherwise the flank at each cut point m <= n that avoids the
+    bad patterns is peeled off and the remaining core (read through the
+    outer twist when its rank is even and its first-half parity odd)
+    must avoid the bad patterns or carry a witness of its own.
+    Convention-free: only the mirror structure matters, so it applies to
+    central blocks whose parity class differs from their ambient clan's.
+    The members `FamilyD.fiber_form` checks, and the cores and twisted
+    readings the recursion passes, are all mirror-antisymmetric: a flank
+    that no pair leaves fixes its suffix, so the core is a block too.
     """
-    n = len(clan) // 2
+    code = clan.code
+    n = len(code) // 2
     if n == 0:
         return None
-    open_clan = gamma_circ_d(n)
-    if clan == open_clan or clan == negate(open_clan):
+    if code in _open_codes_d(n):
         return FiberFormD("open", Clan(()), clan, n)
     inner = _threaded_inner(clan)
     if inner is not None:
         return FiberFormD("threaded", Clan(()), clan, n, inner)
-    for m in range(1, n + 1):
-        flank = block(clan, 0, m)
-        if flank is None or not avoids_bad_patterns(flank):
+    for m in cuts(code):
+        if m > n:
+            break
+        if m == 0:
             continue
-        core = block(clan, m, 2 * n - m)
+        flank = Clan(code[:m])
+        if not avoids_bad_patterns(flank):
+            continue
         rank = n - m
         if rank == 0:
             return FiberFormD("mirror", flank)
+        core = block(clan, m, 2 * n - m)
         reading = core
         if rank % 2 == 0 and _half_parity(core):
             reading = Clan(_swap(core.code, rank - 1, rank))

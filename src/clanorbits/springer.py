@@ -64,7 +64,7 @@ def raised_nodes(family: Family, poset: OrbitPoset, cid: int) -> list[tuple[Root
         raise NotClosed(f"{closed} is not a closed orbit")
     out = []
     for root in family.positive_roots():
-        if family.is_noncompact(closed, root):
+        if family._is_noncompact(closed, root):
             mid = poset.id_of(family.springer_move(closed, root))
             if poset.dims[mid] <= poset.dims[cid]:
                 raise ConsistencyError(f"raising root {root} failed to raise {closed}")

@@ -152,6 +152,71 @@ def test_bad_patterns_list():
     assert avoids_bad_patterns(P("+,1,-,1,2,+,2,-"))
 
 
+def _by_definition(clan: Clan) -> bool:
+    return not any(includes_pattern(clan, bad) for bad in BAD_PATTERNS)
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_pair_rule_is_the_definition_on_type_a(n):
+    for p in range(n + 1):
+        for c in enumerate_clans(p, n - p):
+            assert avoids_bad_patterns(c) == _by_definition(c), c
+
+
+@pytest.mark.parametrize("opposite", [False, True])
+@pytest.mark.parametrize("n", range(7))
+def test_pair_rule_is_the_definition_on_mirror_clans(n, opposite):
+    for c in mirror_clans(n, opposite):
+        assert avoids_bad_patterns(c) == _by_definition(c), c
+
+
+def _bracket_clan(tokens: tuple) -> Clan:
+    """Signs, with '(' and ')' matched as the two mates of a pair."""
+    code, opened = list(tokens), []
+    for i, t in enumerate(tokens):
+        if t == "(":
+            opened.append(i)
+        elif t == ")":
+            j = opened.pop()
+            code[i], code[j] = j, i
+    return Clan(tuple(code))
+
+
+_signs = st.sampled_from((PLUS, MINUS)).map(lambda s: (s,))
+_nested = st.recursive(
+    _signs,
+    lambda inner: st.lists(inner, max_size=3).map(lambda parts: ("(", *sum(parts, ()), ")")),
+    max_leaves=6,
+)
+# non-crossing clans: each pair's interior is itself a run of such clans
+non_crossing_clans = (
+    st.lists(_nested, max_size=4)
+    .map(lambda parts: sum(parts, ()))
+    .filter(lambda tokens: len(tokens) <= 16)
+    .map(_bracket_clan)
+)
+
+
+@st.composite
+def long_clans(draw, max_length=16):
+    """Any clan up to `max_length`: random positions paired at random."""
+    n = draw(st.integers(0, max_length))
+    order = draw(st.permutations(range(n)))
+    k = draw(st.integers(0, n // 2))
+    code: list = [None] * n
+    for a, b in zip(order[: 2 * k : 2], order[1 : 2 * k : 2]):
+        code[a], code[b] = b, a
+    for i in order[2 * k :]:
+        code[i] = draw(st.sampled_from((PLUS, MINUS)))
+    return Clan(tuple(code))
+
+
+@given(st.one_of(long_clans(), non_crossing_clans))
+@settings(max_examples=300, deadline=None)
+def test_pair_rule_is_the_definition_on_long_clans(c):
+    assert avoids_bad_patterns(c) == _by_definition(c)
+
+
 def test_eighth_pattern_lives_at_rank_six():
     # an outer pair over two disjoint pairs: smallest vehicle has 6 slots
     assert not avoids_bad_patterns(P("1,2,2,3,3,1"))

@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 
 from clanorbits import (
+    Clan,
     FamilyA,
     FamilyC,
     FamilyD,
@@ -15,7 +16,7 @@ from clanorbits import (
     rationally_smooth,
     springer_report,
 )
-from clanorbits.errors import ConsistencyError, NotBelow, NotClosed, UnknownOrbit
+from clanorbits.errors import ConsistencyError, InvalidRoot, NotBelow, NotClosed, UnknownOrbit
 from clanorbits.springer import raised_masks, root_count
 
 P = parse_clan
@@ -81,6 +82,34 @@ def test_report_errors(poset_a22):
         springer_report(fa, poset_a22, P("1,2,1,2"), P("1,1,+,-"))
     with pytest.raises(NotBelow):
         springer_report(fa, poset_a22, P("+,-,-,+"), P("+,+,-,-"))
+
+
+def test_report_checks_its_closed_orbit_once(poset_a33, monkeypatch):
+    """The raise loop checks the closed orbit once, not once per root;
+    the public noncompact test stays checked."""
+    fa = FamilyA(3, 3)
+    calls = []
+    is_all_signs = Clan.is_all_signs
+    monkeypatch.setattr(Clan, "is_all_signs", lambda self: calls.append(self) or is_all_signs(self))
+    springer_report(fa, poset_a33, fa.open_clan(), P("+,-,+,-,+,-"))
+    assert len(calls) == 1 and len(fa.positive_roots()) == 15
+    with pytest.raises(NotClosed):
+        fa.is_noncompact(P("1,1,+,-,+,-"), (3, 4, -1))
+
+
+@pytest.mark.parametrize(
+    "family, closed, root",
+    [
+        (FamilyA(2, 2), "+,-,-,+", (1, 5, -1)),
+        (FamilyC(1, 1), "+,-,-,+", (1, 7, -1)),
+        (FamilyC(1, 1), "+,-,-,+", (1, 5, 1)),
+        (FamilyD(2), "-,+,-,+", (2, 5, -1)),
+    ],
+)
+def test_a_root_outside_the_clan_is_invalid(family, closed, root):
+    for ask in (family.is_noncompact, family.springer_move):
+        with pytest.raises(InvalidRoot):
+            ask(P(closed), root)
 
 
 def test_report_json(poset_a22):
