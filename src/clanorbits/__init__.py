@@ -18,7 +18,6 @@ from .clans import (
     is_antisymmetric,
     is_symmetric,
     length_stat,
-    mirror_clans,
     mirror_double,
     negate,
     parse_clan,
@@ -29,7 +28,6 @@ from .closure import (
     complete_closure,
     quotient_poset,
     raising_moves_oracle,
-    simple_move_a,
     weak_order_graph,
 )
 from .family_a import FamilyA, nested_open_clan
@@ -64,7 +62,6 @@ __all__ = [
     "is_symmetric",
     "length_stat",
     "middle_crossings",
-    "mirror_clans",
     "mirror_double",
     "negate",
     "nested_open_clan",
@@ -72,7 +69,6 @@ __all__ = [
     "quotient_poset",
     "raising_moves_oracle",
     "rationally_smooth",
-    "simple_move_a",
     "springer_report",
     "weak_order_graph",
 ]

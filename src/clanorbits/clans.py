@@ -23,8 +23,8 @@ The clans of types C and D have length 2n and mirror themselves:
 position 2n-1-i repeats (or, in type D, flips) the sign at position i,
 and pairs mirror to pairs.  One constructor, `mirror_double`, writes
 every such clan from its first half, a clan of length n, and a closed
-or crossing choice for each pair of that half; `mirror_clans` doubles
-every half, and `is_symmetric`/`is_antisymmetric` check the mirror.
+or crossing choice for each pair of that half; `mirror_doubles` doubles
+a run of halves, and `is_symmetric`/`is_antisymmetric` check the mirror.
 
 Text format, unchanged by the storage: comma-separated tokens
 (``1,+,-,1``).  A compact digit form without commas (``1+-1``) is
@@ -243,24 +243,6 @@ def mirror_doubles(halves: Iterable[Clan], opposite: bool, parity: int | None = 
     ]
 
 
-def mirror_clans(n: int, opposite: bool) -> list[Clan]:
-    """All clans of length 2n equal to their own mirror image: the
-    `mirror_double` of every clan of length n under every choice of
-    crossing flags, each once.  Signatures are mixed: the families keep
-    their own.
-
-    >>> [str(c) for c in mirror_clans(1, opposite=True)]
-    ['+,-', '-,+']
-    >>> sorted(str(c) for c in mirror_clans(2, opposite=False) if not c.is_all_signs())
-    ['1,1,2,2', '1,2,1,2']
-    """
-    if n < 0:
-        raise ValueError("rank must be nonnegative")
-    _check_length(2 * n)
-    halves = (half for p in range(n, -1, -1) for half in enumerate_clans(p, n - p))
-    return mirror_doubles(halves, opposite)
-
-
 def _check_length(length: int) -> None:
     if length > MAX_ENUM_LENGTH:
         raise RankTooLarge(f"clan length {length} exceeds enumeration cap {MAX_ENUM_LENGTH}")
@@ -288,12 +270,12 @@ def count_clans(p: int, q: int) -> int:
 
 
 def count_mirror_clans(n: int, p: int) -> int:
-    """Closed-form count of the clans of `mirror_clans(n, opposite=False)`
-    with signature (2p, 2(n-p)).
+    """Closed-form count of the mirror clans of length 2n with equal signs
+    at mirror positions and signature (2p, 2(n-p)).
 
     Sums over the k matched first-half pairs: choose their 2k positions,
     match them, pick one of two shapes for each, then place the p-k
-    first-half plus signs.  Refuses the lengths `mirror_clans` refuses.
+    first-half plus signs.  Refuses a length 2n over the enumeration cap.
     """
     _check_length(2 * n)
     total = 0

@@ -68,14 +68,6 @@ def _move(code: tuple, u: int):
     return _swap(code, u, v) if raises else None
 
 
-def simple_move_a(clan: Clan, i: int) -> Clan | None:
-    """Raising move at 1-based positions (i, i+1); None when nothing raises."""
-    if not 1 <= i < len(clan.code):
-        raise ValueError(f"move position {i} out of range 1..{len(clan) - 1}")
-    out = _move(clan.code, i - 1)
-    return None if out is None else Clan(out)
-
-
 def lifted_double_move(code: tuple, u: int, v: int):
     """Apply `_move` at u, then at v on the intermediate code.
 
@@ -138,12 +130,18 @@ def raising_moves_oracle(clan: Clan) -> set[Clan]:
 
 
 class OrbitPoset:
-    """Graded orbit poset with labeled covers and bitset reachability.
+    """Graded orbit poset with labeled covers; reachability by one upward
+    pass over the covers, sized to what is asked.
 
     Covers are triples ``(lo, hi, root)`` of orbit ids; ``root`` is the
     1-based simple-root label of a weak-order edge or ``None`` for an
     edge added by completion.  ``members[i]`` lists the clans fused into
     node i (a single clan except on isogeny-quotient posets).
+
+    `down_over(ids)` gives each node its down-set restricted to `ids`.
+    `closed_below` reads it over the closed nodes; the full down-sets
+    `down`, Θ(N²) bits, are built at the first `le` (or the first read
+    of `down`) and kept.
     """
 
     def __init__(self, meta: dict, orbits: Sequence[Clan], dims: Sequence[int],
@@ -165,15 +163,33 @@ class OrbitPoset:
         for lo, hi, _ in self.covers:
             incoming[hi].append(lo)
             outgoing[lo] += 1
-        down = [0] * n
-        for v in sorted(range(n), key=lambda i: self.dims[i]):
-            d = 1 << v
-            for u in incoming[v]:
-                d |= down[u]
-            down[v] = d
-        self.down = down
+        self._incoming = incoming
         self._minima = [i for i in range(n) if not incoming[i]]
         self._maxima = [i for i in range(n) if not outgoing[i]]
+        self._down: list[int] | None = None
+        self._closed_down: list[int] | None = None
+
+    def down_over(self, ids: Sequence[int]) -> list[int]:
+        """Per node v, its down-set over `ids`: bit k is set when node
+        ids[k] lies below v (or is v).  One upward pass in dimension
+        order; each node's bit is made only when the pass reaches it."""
+        bit = {v: k for k, v in enumerate(ids)}
+        incoming = self._incoming
+        masks = [0] * len(self.orbits)
+        for v in sorted(range(len(masks)), key=self.dims.__getitem__):
+            k = bit.get(v)
+            d = 0 if k is None else 1 << k
+            for u in incoming[v]:
+                d |= masks[u]
+            masks[v] = d
+        return masks
+
+    @property
+    def down(self) -> list[int]:
+        """The full down-sets: bit i of down[j] is set when i <= j."""
+        if self._down is None:
+            self._down = self.down_over(range(len(self.orbits)))
+        return self._down
 
     def __len__(self) -> int:
         return len(self.orbits)
@@ -185,7 +201,12 @@ class OrbitPoset:
             raise UnknownOrbit(f"{clan} is not an orbit of this poset") from None
 
     def le_ids(self, i: int, j: int) -> bool:
-        return bool(self.down[j] >> i & 1)
+        # `le` is the hot query: a plain attribute read, and no test on
+        # the path once the down-sets exist (a try block costs nothing)
+        try:
+            return bool(self._down[j] >> i & 1)
+        except TypeError:  # `_down` is None before the first query
+            return bool(self.down[j] >> i & 1)
 
     def le(self, a: Clan, b: Clan) -> bool:
         """Closure containment: the orbit of `a` lies in the closure of `b`."""
@@ -203,8 +224,13 @@ class OrbitPoset:
         return self.orbits[self._maxima[0]]
 
     def closed_below(self, clan: Clan) -> list[Clan]:
+        """The closed orbits below `clan`, read off the down-sets over the
+        closed nodes (built at the first call, N bits per closed node)."""
         j = self.id_of(clan)
-        return [self.orbits[i] for i in self._minima if self.le_ids(i, j)]
+        if self._closed_down is None:
+            self._closed_down = self.down_over(self._minima)
+        below = self._closed_down[j]
+        return [self.orbits[i] for k, i in enumerate(self._minima) if below >> k & 1]
 
     def completed_covers(self) -> list[tuple]:
         return [e for e in self.covers if e[2] is None]
@@ -216,13 +242,10 @@ class OrbitPoset:
                     f"cover {self.orbits[lo]} -> {self.orbits[hi]} jumps "
                     f"{self.dims[lo]} -> {self.dims[hi]}"
                 )
+        # graded and finite: every node reaches a maximal one by covers,
+        # so a single maximum lies above every node
         if len(self.orbits) > 1 and len(self._maxima) != 1:
             raise ConsistencyError(f"{len(self._maxima)} maximal orbits, expected 1")
-        if self.orbits:
-            top = self._maxima[0]
-            full = (1 << len(self.orbits)) - 1
-            if self.down[top] != full:
-                raise ConsistencyError("poset is not connected below its maximum")
         for i in self._minima:
             for clan in self.members[i]:
                 if not clan.is_all_signs():
@@ -309,7 +332,7 @@ def complete_closure(dims_by_id: Sequence[int], n_orbits: int,
 
 
 def build_poset(family: Family, max_orbits: int | None = None) -> OrbitPoset:
-    """Weak order graph, completed and wrapped with reachability."""
+    """Weak order graph, completed and wrapped as a validated poset."""
     dims, weak = weak_order_graph(family, max_orbits)
     ranked = sorted(dims.items(), key=lambda cd: (cd[1], str(cd[0])))
     order = [c for c, _ in ranked]

@@ -101,7 +101,7 @@ class Family(Protocol):
     @cached_property
     def _root_table(self) -> dict[Root, tuple[tuple[int, int], ...]]:
         # `_root_slots` of each positive root, computed once: the explain
-        # path reads them for every root; any other root asks `_root_slots`
+        # path reads them for every root
         pairs = combinations(range(1, self.n + 1), 2)
         return {(i, j, e): self._root_slots((i, j, e)) for i, j in pairs for e in self.root_signs}
 
@@ -111,13 +111,11 @@ class Family(Protocol):
         return list(self._root_table)
 
     def _slots(self, root: Root) -> tuple[tuple[int, int], ...]:
-        """The root's slot pairs: from the table, or checked to lie in the clans."""
-        slots = self._root_table.get(root)
-        if slots is None:
-            slots = self._root_slots(root)
-            if not all(0 <= k < self.clan_length for pair in slots for k in pair):
-                raise InvalidRoot(f"root {self.root_str(root)} leaves the clans of {self!r}")
-        return slots
+        """The root's slot pairs; `InvalidRoot` unless it is a positive root."""
+        try:
+            return self._root_table[root]
+        except KeyError:
+            raise InvalidRoot(f"{root!r} is not a positive root of {self!r}") from None
 
     def is_noncompact(self, closed: Clan, root: Root) -> bool:
         if not closed.is_all_signs():

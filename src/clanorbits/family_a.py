@@ -17,7 +17,7 @@ from __future__ import annotations
 from .clans import Clan, MINUS, PLUS, all_sign_clans, count_clans, enumerate_clans, length_stat
 from .clans import avoids_bad_patterns  # noqa: F401  perfbench's tracer test patches it here
 from .closure import _move
-from .errors import ClanError, InvalidRoot, SignatureMismatch
+from .errors import ClanError, SignatureMismatch
 from .family import Family, Root
 
 
@@ -78,7 +78,5 @@ class FamilyA(Family):
         return nested_open_clan(self.p, self.q)
 
     def _root_slots(self, root: Root) -> tuple[tuple[int, int], ...]:
-        i, j, eps = root
-        if eps > 0:
-            raise InvalidRoot("type A has no e_i + e_j roots")
+        i, j, _ = root  # eps is -1: type A has no e_i + e_j roots
         return ((i - 1, j - 1),)

@@ -217,7 +217,9 @@ class FamilyD(MirrorFamily):
         return None if moved is None else _swap(moved, n - 1, n)
 
     def enumerate(self) -> list[Clan]:
-        """The clans of `mirror_clans` of the family's parity, in its order."""
+        """The opposite-sign mirror clans of length 2n of the family's
+        parity: each half, by falling plus count, doubled under each
+        choice of crossing flags."""
         _check_length(self.clan_length)  # before the halves, which pass their own cap
         halves = (h for p in range(self.n, -1, -1) for h in enumerate_clans(p, self.n - p))
         return mirror_doubles(halves, True, self.parity)

@@ -16,9 +16,12 @@ roots of a closed node, each with the node it raises that node to.
 `springer_report` keeps the roots whose node lies below one orbit
 (`le_ids`) and lists them: it is the explain path and the oracle of the
 tests.  `cross_validate` checks every orbit against the pattern-based
-classifiers; it folds each closed node's raised nodes into bitmasks
-over node ids once (`raised_masks`), so the count for an orbit is a
-popcount against its down-set (`root_count`).
+classifiers without the full down-sets.  It reads only the landmarks:
+the closed nodes and the nodes their roots raise them to.
+`raised_masks` folds each closed node's raised nodes into bitmasks over
+the landmarks once and takes every node's down-set over the landmarks
+(`OrbitPoset.down_over`), so the count for an orbit is a popcount of
+the two (`root_count`).
 
 Everything here also runs on isogeny-quotient posets: nodes then carry
 several clans, the closed node's representative drives the root data,
@@ -94,25 +97,33 @@ def rationally_smooth(family: Family, poset: OrbitPoset, orbit: Clan) -> bool:
     )
 
 
-def raised_masks(family: Family, poset: OrbitPoset) -> dict[int, tuple[int, ...]]:
-    """For each closed node id, layered masks over node ids: bit m of
-    the k-th layer (from 1) is set when at least k noncompact roots raise
-    the closed node to node m, so node m counts once per root that
-    reaches it, not once in all."""
-    out = {}
-    for cid in map(poset.id_of, poset.minima()):
-        hits = Counter(mid for _, mid in raised_nodes(family, poset, cid))
-        layers = [0] * max(hits.values(), default=0)
-        for mid, k in hits.items():
-            for layer in range(k):
-                layers[layer] |= 1 << mid
-        out[cid] = tuple(layers)
-    return out
+def raised_masks(family: Family, poset: OrbitPoset) -> tuple[list[int], dict[int, tuple[int, ...]]]:
+    """Down-sets over the landmarks and, per closed node id, layered
+    masks over the landmarks.
+
+    The landmarks are the closed nodes, first and in id order, then the
+    nodes their noncompact roots raise them to; bit k of a mask stands
+    for the k-th landmark.  Bit k of the l-th layer (from 1) is set when
+    at least l roots raise the closed node to landmark k, so a node
+    counts once per root that reaches it, not once in all."""
+    raised = {cid: raised_nodes(family, poset, cid) for cid in map(poset.id_of, poset.minima())}
+    landmarks = list(raised) + sorted({mid for hits in raised.values() for _, mid in hits})
+    position = {v: k for k, v in enumerate(landmarks)}
+    masks = {}
+    for cid, hits in raised.items():
+        counts = Counter(position[mid] for _, mid in hits)
+        layers = [0] * max(counts.values(), default=0)
+        for k, times in counts.items():
+            for layer in range(times):
+                layers[layer] |= 1 << k
+        masks[cid] = tuple(layers)
+    return poset.down_over(landmarks), masks
 
 
 def root_count(layers: tuple[int, ...], down: int) -> int:
-    """The number of roots raising a closed node into a down-set: equal
-    to `springer_report(...).s_size` for the orbit whose down-set it is."""
+    """The number of roots raising a closed node into a down-set over the
+    landmarks: equal to `springer_report(...).s_size` for the orbit
+    whose down-set it is."""
     return sum((layer & down).bit_count() for layer in layers)
 
 
@@ -121,17 +132,18 @@ def cross_validate(family: Family, poset: OrbitPoset) -> dict:
     every orbit.  Mismatches are reported, not raised; the families here
     are expected to produce none."""
     verdicts = family.verdicts(poset)
-    masks = raised_masks(family, poset)
-    closed_bits = sum(1 << cid for cid in masks)
+    downs, masks = raised_masks(family, poset)
+    closed = list(masks.items())  # landmark k is the k-th closed node
+    closed_bits = (1 << len(closed)) - 1
     dims = poset.dims
     smooth = 0
     singular = 0
     mismatches = []
-    for orbit, by_pattern, down, dim in zip(poset.orbits, verdicts, poset.down, dims):
-        below = down & closed_bits  # closed nodes sort first: a short int
+    for orbit, by_pattern, down, dim in zip(poset.orbits, verdicts, downs, dims):
+        below = down & closed_bits  # the closed nodes come first: a short int
         by_roots = not any(
-            below >> cid & 1 and root_count(layers, down) > dim - dims[cid]
-            for cid, layers in masks.items()
+            below >> k & 1 and root_count(layers, down) > dim - dims[cid]
+            for k, (cid, layers) in enumerate(closed)
         )
         if by_pattern:
             smooth += 1

@@ -1,12 +1,15 @@
 """Clan transforms the tests build expectations with: reversal,
-reversal with every sign flipped, juxtaposition, and the mate list.
+reversal with every sign flipped, juxtaposition, the mate list, every
+mirror clan of a rank, and the type-A move at a 1-based position.
 The package builds its mirror clans with `clans.mirror_double`, cuts
-them with `clans.block` and reads mates off `Clan.code`, so it needs
-none of these."""
+them with `clans.block`, reads mates off `Clan.code` and moves codes
+with `closure._move`, so it needs none of these."""
 
 from __future__ import annotations
 
-from clanorbits import Clan, negate
+from clanorbits import Clan, enumerate_clans, negate
+from clanorbits.clans import _check_length, mirror_doubles
+from clanorbits.closure import _move
 
 
 def reverse_rename(clan: Clan) -> Clan:
@@ -31,3 +34,23 @@ def concat(*clans: Clan) -> Clan:
 def mate_list(clan: Clan) -> tuple:
     """mates[i] is the position paired with i, or -1 at a sign."""
     return tuple(m if isinstance(m, int) else -1 for m in clan.code)
+
+
+def mirror_clans(n: int, opposite: bool) -> list[Clan]:
+    """All clans of length 2n equal to their own mirror image: the
+    `mirror_double` of every clan of length n under every choice of
+    crossing flags, each once.  Signatures are mixed: the families keep
+    their own."""
+    if n < 0:
+        raise ValueError("rank must be nonnegative")
+    _check_length(2 * n)
+    halves = (half for p in range(n, -1, -1) for half in enumerate_clans(p, n - p))
+    return mirror_doubles(halves, opposite)
+
+
+def simple_move_a(clan: Clan, i: int) -> Clan | None:
+    """Raising move at 1-based positions (i, i+1); None when nothing raises."""
+    if not 1 <= i < len(clan.code):
+        raise ValueError(f"move position {i} out of range 1..{len(clan) - 1}")
+    out = _move(clan.code, i - 1)
+    return None if out is None else Clan(out)

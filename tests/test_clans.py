@@ -16,7 +16,6 @@ from clanorbits import (
     is_antisymmetric,
     is_symmetric,
     length_stat,
-    mirror_clans,
     negate,
     parse_clan,
 )
@@ -28,7 +27,13 @@ from clanorbits.errors import (
     RankTooLarge,
 )
 
-from clan_transforms import concat, mate_list, reverse_negate_rename, reverse_rename
+from clan_transforms import (
+    concat,
+    mate_list,
+    mirror_clans,
+    reverse_negate_rename,
+    reverse_rename,
+)
 
 P = parse_clan
 

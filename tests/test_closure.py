@@ -9,15 +9,18 @@ from clanorbits import (
     FamilyC,
     FamilyD,
     build_poset,
+    cross_validate,
     negate,
     parse_clan,
     quotient_poset,
     raising_moves_oracle,
-    simple_move_a,
     weak_order_graph,
 )
+from clanorbits.cache import load_poset, save_poset
 from clanorbits.closure import _move
-from clanorbits.errors import InvalidRoot, NotGraded, RankTooLarge, UnknownOrbit
+from clanorbits.errors import ConsistencyError, InvalidRoot, NotGraded, RankTooLarge, UnknownOrbit
+
+from clan_transforms import simple_move_a
 
 P = parse_clan
 
@@ -153,6 +156,63 @@ def test_validate_rejects_broken_grading(poset_a22):
             [d + (i == 0) for i, d in enumerate(poset_a22.dims)],
             poset_a22.covers,
         ).validate()
+
+
+def test_validate_rejects_two_maxima(poset_a22):
+    from clanorbits.closure import OrbitPoset
+
+    top = poset_a22.id_of(poset_a22.open_orbit())
+    cut = [e for e in poset_a22.covers if e[1] != top]  # the top stands alone
+    with pytest.raises(ConsistencyError, match="maximal orbits"):
+        OrbitPoset({"family": "a"}, poset_a22.orbits, poset_a22.dims, cut).validate()
+
+
+# --------------------------------------------------------- reachability
+
+def searched_down_sets(poset) -> list[set[int]]:
+    """Each node's down-set by a search down the cover list."""
+    incoming = [[] for _ in poset.orbits]
+    for lo, hi, _ in poset.covers:
+        incoming[hi].append(lo)
+    out = []
+    for j in range(len(poset)):
+        seen, stack = {j}, [j]
+        while stack:
+            for u in incoming[stack.pop()]:
+                if u not in seen:
+                    seen.add(u)
+                    stack.append(u)
+        out.append(seen)
+    return out
+
+
+def test_full_down_sets_wait_for_the_first_le(tmp_path):
+    family = FamilyD(4)
+    base = build_poset(family)
+    folded = quotient_poset(base, family.isogeny_fold("adjoint"), "adjoint")
+    loaded = load_poset(save_poset(base, tmp_path / "d4.json"))
+    posets = (base, folded, loaded)
+    for poset in posets:
+        for orbit in poset.orbits:
+            poset.closed_below(orbit)
+        cross_validate(family, poset)
+        assert poset._down is None
+    for poset in posets:
+        searched = searched_down_sets(poset)
+        closed = set(map(poset.id_of, poset.minima()))
+        assert poset.le(poset.orbits[0], poset.orbits[0]) and poset._down is not None
+        for j, below in enumerate(searched):
+            assert {i for i in range(len(poset)) if poset.le_ids(i, j)} == below
+            assert set(map(poset.id_of, poset.closed_below(poset.orbits[j]))) == below & closed
+
+
+def test_down_over_restricts_the_down_sets(poset_a33):
+    searched = searched_down_sets(poset_a33)
+    ids = [7, 0, 50, len(poset_a33) - 1, 3]
+    masks = poset_a33.down_over(ids)
+    for j, below in enumerate(searched):
+        assert [masks[j] >> k & 1 for k in range(len(ids))] == [i in below for i in ids]
+    assert poset_a33.down_over([]) == [0] * len(poset_a33)
 
 
 # ------------------------------------------------------------ quotients

@@ -23,13 +23,14 @@ from clanorbits import (
     gamma_circ_c,
     gamma_circ_d,
     includes_pattern,
-    mirror_clans,
     negate,
 )
 from clanorbits.clans import _half_parity, block, cuts
 from clanorbits.closure import _swap
 from clanorbits.family_c import fiber_form_c
 from clanorbits.family_d import fiber_form_d
+
+from clan_transforms import mirror_clans
 
 # ------------------------------------------------------- block-based oracle
 

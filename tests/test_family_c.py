@@ -14,7 +14,7 @@ from clanorbits import (
 from clanorbits import family as family_module
 from clanorbits.cli import orbit_rows, poset_dot
 from clanorbits.closure import _move, lifted_double_move
-from clanorbits.errors import ConsistencyError, NotSymmetric
+from clanorbits.errors import ConsistencyError, InvalidRoot, NotSymmetric
 from clanorbits.family_c import fiber_form_c
 from clanorbits.fixtures import compare_fixture, load_fixture
 
@@ -153,7 +153,9 @@ def test_springer_root_data():
     assert str(fc.springer_move(cl, (1, 2, 1))) == "1,2,1,2"
     other = P("-,+,+,-")
     assert fc.is_noncompact(other, (1, 2, -1))
-    assert not fc.is_noncompact(other, (1, 4, -1))  # equal signs at the ends
+    for ask in (fc.is_noncompact, fc.springer_move):  # (1, 4) is no root of rank 2
+        with pytest.raises(InvalidRoot):
+            ask(other, (1, 4, -1))
 
 
 def test_isogeny_fold(poset_c22):

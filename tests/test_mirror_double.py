@@ -29,12 +29,13 @@ from clanorbits import (
     gamma_circ_d,
     is_antisymmetric,
     is_symmetric,
-    mirror_clans,
     mirror_double,
     negate,
 )
 from clanorbits.clans import MINUS, PLUS, _half_parity, _is_mirror
 from clanorbits.errors import OddLength, RankTooLarge
+
+from clan_transforms import mirror_clans
 
 # ---------------------------------------------------------------- oracle
 
@@ -229,6 +230,12 @@ def test_mirror_predicates_match_the_oracle():
             is_symmetric(odd)
         with pytest.raises(OddLength):
             is_antisymmetric(odd)
+
+
+def test_mirror_clans_examples():
+    assert [str(c) for c in mirror_clans(1, opposite=True)] == ["+,-", "-,+"]
+    got = sorted(str(c) for c in mirror_clans(2, opposite=False) if not c.is_all_signs())
+    assert got == ["1,1,2,2", "1,2,1,2"]
 
 
 @pytest.mark.parametrize("opposite", [False, True])

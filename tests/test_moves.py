@@ -19,13 +19,11 @@ from clanorbits import (
     FamilyC,
     FamilyD,
     enumerate_clans,
-    mirror_clans,
     raising_moves_oracle,
-    simple_move_a,
 )
 from clanorbits.errors import ConsistencyError
 
-from clan_transforms import concat, mate_list, reverse_rename
+from clan_transforms import concat, mate_list, mirror_clans, reverse_rename, simple_move_a
 
 PLUS, MINUS = "+", "-"
 

@@ -17,7 +17,9 @@ from clanorbits import (
     springer_report,
 )
 from clanorbits.errors import ConsistencyError, InvalidRoot, NotBelow, NotClosed, UnknownOrbit
-from clanorbits.springer import raised_masks, root_count
+from clanorbits.family import SIGN_FLIP_LEVELS
+from clanorbits.family_d import ISOGENY_LEVELS_D
+from clanorbits.springer import raised_masks, raised_nodes, root_count
 
 P = parse_clan
 
@@ -181,26 +183,37 @@ def views(family, base, levels):
         yield level, quotient_poset(base, family.isogeny_fold(level), level)
 
 
-def test_mask_counts_match_reports(poset_a33, poset_c22, poset_d4):
-    # springer_report is the oracle of the popcount on every pair
-    fd5 = FamilyD(5)
-    cases = [
-        (FamilyA(3, 3), poset_a33, ("sc", "adjoint")),
-        (FamilyC(2, 2), poset_c22, ("sc", "adjoint")),
-        (fd5, build_poset(fd5), ("sc", "so", "so-prime", "adjoint")),
-        (FamilyD(4), poset_d4, ("so", "so-prime")),
-    ]
-    for family, base, levels in cases:
-        for level, view in views(family, base, levels):
-            masks = raised_masks(family, view)
-            assert set(masks) == {view.id_of(c) for c in view.minima()}
+def landmark_cases():
+    """Every family up to A(3,3), C(2,2) and D(5), at every isogeny level."""
+    for p in range(1, 4):
+        for q in range(1, p + 1):
+            yield FamilyA(p, q), SIGN_FLIP_LEVELS
+    for p, q in ((1, 0), (1, 1), (2, 1), (2, 2)):
+        yield FamilyC(p, q), SIGN_FLIP_LEVELS
+    for n in range(1, 6):
+        yield FamilyD(n), ISOGENY_LEVELS_D
+    yield FamilyD(4, "figure"), ISOGENY_LEVELS_D
+
+
+def test_mask_counts_match_reports():
+    # springer_report is the oracle of the popcount on every pair; the
+    # count read off the full down-sets is the store the landmarks replace
+    for family, levels in landmark_cases():
+        for level in levels:  # a fresh base each time: a level may view it unfolded
+            view = quotient_poset(build_poset(family), family.isogeny_fold(level), level)
+            downs, masks = raised_masks(family, view)
+            assert view._down is None  # the landmark store alone
+            assert list(masks) == [view.id_of(c) for c in view.minima()]
             pairs = 0
             for oid, orbit in enumerate(view.orbits):
                 for cid, layers in masks.items():
                     if not view.le_ids(cid, oid):
                         continue
                     report = springer_report(family, view, orbit, view.orbits[cid])
-                    assert root_count(layers, view.down[oid]) == report.s_size, (level, orbit)
+                    full = sum(view.down[oid] >> mid & 1
+                               for _, mid in raised_nodes(family, view, cid))
+                    assert root_count(layers, downs[oid]) == report.s_size == full, \
+                        (family, level, orbit)
                     pairs += 1
             assert pairs >= len(view.orbits)
 
@@ -219,12 +232,12 @@ def test_mask_counts_keep_root_multiplicity(poset_a22, monkeypatch):
     # every root of every closed orbit lands on one node: counted per root
     fa = FamilyA(2, 2)
     monkeypatch.setattr(FamilyA, "springer_move", lambda self, closed, root: P("1,1,-,+"))
-    masks = raised_masks(fa, poset_a22)
+    downs, masks = raised_masks(fa, poset_a22)
     top = poset_a22.id_of(fa.open_clan())
     for cid, layers in masks.items():
         report = springer_report(fa, poset_a22, fa.open_clan(), poset_a22.orbits[cid])
         assert report.s_size == len(layers) > 1
-        assert root_count(layers, poset_a22.down[top]) == report.s_size
+        assert root_count(layers, downs[top]) == report.s_size
 
 
 @pytest.mark.parametrize(
