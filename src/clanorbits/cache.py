@@ -3,11 +3,11 @@
 The on-disk schema is {version, family, p/q or n, convention, orbits,
 dims, covers}; orbits are canonical clan strings and covers carry their
 1-based root label or null for completion edges.  Loading validates the
-schema and the poset (grading, one open orbit, all-sign minima); it
-builds no reachability, which the poset computes when a query first
-needs it (the full down-sets at the first `le`).  `load_or_build`
-checks that the file holds the requested family; a failed check raises
-rather than returning a bad poset.
+schema and the poset (cover ids and root labels, grading, one open
+orbit, all-sign minima); it builds no reachability, which the poset
+computes when a query first needs it (the full down-sets at the first
+`le`).  `load_or_build` checks that the file holds the requested
+family; a failed check raises rather than returning a bad poset.
 """
 
 from __future__ import annotations

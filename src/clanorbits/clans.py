@@ -253,35 +253,33 @@ def _matchings(k: int) -> int:
     return math.prod(range(1, 2 * k, 2))
 
 
-def count_clans(p: int, q: int) -> int:
-    """Closed-form count of clans of signature (p, q).
+def _count(n: int, p: int, weight: int) -> int:
+    """Sum over the k pairs among n positions: choose their 2k positions,
+    match them ((2k-1)!! ways), weight the matching by weight**k, then
+    place the p-k plus signs on the rest."""
+    return sum(
+        math.comb(n, 2 * k) * _matchings(k) * weight**k * math.comb(n - 2 * k, p - k)
+        for k in range(min(p, n - p) + 1)
+    )
 
-    Sums over the number of pairs k: choose the 2k paired positions,
-    match them ((2k-1)!! ways), then place p-k plus signs.  Refuses
-    the lengths `enumerate_clans` refuses, so a count taken first
-    stands in for the enumeration's cap.
+
+def count_clans(p: int, q: int) -> int:
+    """Closed-form count of clans of signature (p, q): `_count` with
+    weight 1.  Refuses the lengths `enumerate_clans` refuses, so a count
+    taken first stands in for the enumeration's cap.
     """
-    n = p + q
-    _check_length(n)
-    total = 0
-    for k in range(min(p, q) + 1):
-        total += math.comb(n, 2 * k) * _matchings(k) * math.comb(n - 2 * k, p - k)
-    return total
+    _check_length(p + q)
+    return _count(p + q, p, 1)
 
 
 def count_mirror_clans(n: int, p: int) -> int:
     """Closed-form count of the mirror clans of length 2n with equal signs
-    at mirror positions and signature (2p, 2(n-p)).
-
-    Sums over the k matched first-half pairs: choose their 2k positions,
-    match them, pick one of two shapes for each, then place the p-k
-    first-half plus signs.  Refuses a length 2n over the enumeration cap.
+    at mirror positions and signature (2p, 2(n-p)): `_count` over the
+    first half, weight 2, since each matched first-half pair takes one of
+    two shapes.  Refuses a length 2n over the enumeration cap.
     """
     _check_length(2 * n)
-    total = 0
-    for k in range(min(p, n - p) + 1):
-        total += math.comb(n, 2 * k) * _matchings(k) * 2**k * math.comb(n - 2 * k, p - k)
-    return total
+    return _count(n, p, 2)
 
 
 def length_stat(clan: Clan) -> int:

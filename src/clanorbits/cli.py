@@ -44,7 +44,7 @@ def family_poset(family, args) -> OrbitPoset:
 
 
 def orbit_rows(family, poset: OrbitPoset) -> list[dict]:
-    judged = family.witnessed_verdicts(poset)  # checks every member once
+    judged = family.verdicts(poset)  # checks every member once
     rows = []
     for i, clan in sorted(enumerate(poset.orbits), key=lambda t: str(t[1])):
         smooth, form = judged[i]
@@ -69,7 +69,7 @@ def poset_dot(family, poset: OrbitPoset) -> str:
     by_dim: dict[int, list[int]] = {}
     for i, d in enumerate(poset.dims):
         by_dim.setdefault(d, []).append(i)
-    for i, (clan, smooth) in enumerate(zip(poset.orbits, family.verdicts(poset))):
+    for i, (clan, (smooth, _)) in enumerate(zip(poset.orbits, family.verdicts(poset))):
         shape = "ellipse" if smooth else "box"
         lines.append(f'  n{i} [label="{clan.compact()}" shape={shape}];')
     for d in sorted(by_dim):
@@ -175,22 +175,16 @@ def _verify_oracle(args, parser) -> int:
         parser.error("the raising-move oracle applies to --family a")
     family = make_family(args, parser)
     poset = load_or_build(family, args.cache_dir, args.max_orbits)
-    n = len(poset)
     unsound = 0
-    preds: list[list[int]] = [[] for _ in range(n)]
+    moves = []
     for i, clan in enumerate(poset.orbits):
         for target in raising_moves_oracle(clan):
             j = poset.id_of(target)
             if not poset.le_ids(i, j) or i == j:
                 unsound += 1
-            preds[j].append(i)
-    # back[j]: the orbits that reach j by moves, j included
-    back = [0] * n
-    for j in sorted(range(n), key=lambda k: poset.dims[k]):
-        b = 1 << j
-        for i in preds[j]:
-            b |= back[i]
-        back[j] = b
+            moves.append((i, j, None))
+    # the down-sets of the order the moves generate, by the poset's own pass
+    back = OrbitPoset(poset.meta, poset.orbits, poset.dims, moves).down
     missing = sum((down & ~b).bit_count() for down, b in zip(poset.down, back))
     ok = unsound == 0
     print(

@@ -236,7 +236,10 @@ class OrbitPoset:
         return [e for e in self.covers if e[2] is None]
 
     def validate(self) -> None:
-        for lo, hi, _ in self.covers:
+        for lo, hi, root in self.covers:
+            # an id past the end has already failed to index in `__init__`
+            if lo < 0 or hi < 0 or not (root is None or type(root) is int and root > 0):
+                raise ConsistencyError(f"cover {(lo, hi, root)} has a negative id or a bad root")
             if self.dims[hi] != self.dims[lo] + 1:
                 raise NotGraded(
                     f"cover {self.orbits[lo]} -> {self.orbits[hi]} jumps "
@@ -303,10 +306,10 @@ def weak_order_graph(family: Family, max_orbits: int | None = None):
     return dict(seen.values()), edges
 
 
-def complete_closure(dims_by_id: Sequence[int], n_orbits: int,
+def complete_closure(dims_by_id: Sequence[int],
                      weak_edges: Iterable[tuple[int, int, int]]) -> list[tuple]:
     """Close the weak edge set under the diamond rule; id-level covers."""
-    weak_up: list[dict[int, int]] = [{} for _ in range(n_orbits)]
+    weak_up: list[dict[int, int]] = [{} for _ in dims_by_id]
     triples: list[tuple] = []
     pairs: set[tuple[int, int]] = set()
     for lo, hi, root in weak_edges:
@@ -339,7 +342,7 @@ def build_poset(family: Family, max_orbits: int | None = None) -> OrbitPoset:
     dim_list = [d for _, d in ranked]
     idx = {c.code: i for i, c in enumerate(order)}
     weak_ids = [(idx[a.code], idx[b.code], r) for a, b, r in weak]
-    covers = complete_closure(dim_list, len(order), weak_ids)
+    covers = complete_closure(dim_list, weak_ids)
     poset = OrbitPoset(family.meta(), order, dim_list, covers)
     poset.validate()
     if order and poset.open_orbit() != family.open_clan():

@@ -148,7 +148,7 @@ class Family(Protocol):
         self._check(clan)
         return self._fiber_form(clan)
 
-    _fiber_form = staticmethod(lambda clan: None)  # unchecked, for `classify`
+    _fiber_form = staticmethod(lambda clan: None)  # unchecked, for `classify` and `verdicts`
 
     def classify(self, clan: Clan) -> bool:
         """True when the orbit closure is smooth: the clan avoids the bad
@@ -156,24 +156,21 @@ class Family(Protocol):
         self._check(clan)
         return avoids_bad_patterns(clan) or self._fiber_form(clan) is not None
 
-    def verdicts(self, poset: OrbitPoset) -> list[bool]:
-        """`classify` per node of `poset`.  Every member of a node is
-        classified: smoothness does not depend on the isogeny level, so
-        members of one class that disagree raise `ConsistencyError`."""
-        return [_agreed(orbit, {self.classify(m) for m in members})
-                for orbit, members in zip(poset.orbits, poset.members)]
-
-    def witnessed_verdicts(self, poset: OrbitPoset) -> list[tuple[bool, object]]:
-        """`verdicts`, each with the fiber-form witness of the node's
-        representative, searched once: the representative's verdict is
-        read off its witness, the other members go through `classify`."""
+    def verdicts(self, poset: OrbitPoset) -> list[tuple[bool, object]]:
+        """(smooth, fiber-form witness) per node of `poset`.  The
+        representative is checked and searched once, its verdict read off
+        its witness; smoothness does not depend on the isogeny level, so
+        every other member goes through `classify` and must agree, or
+        `ConsistencyError` is raised."""
         out = []
         for orbit, members in zip(poset.orbits, poset.members):
             self._check(orbit)
             form = self._fiber_form(orbit)
-            found = {avoids_bad_patterns(orbit) or form is not None}
-            found.update(self.classify(m) for m in members if m != orbit)
-            out.append((_agreed(orbit, found), form))
+            smooth = form is not None or avoids_bad_patterns(orbit)
+            for m in members:
+                if m != orbit and self.classify(m) != smooth:
+                    raise ConsistencyError(f"classification differs across the class of {orbit}")
+            out.append((smooth, form))
         return out
 
     def isogeny_fold(self, level: str) -> Callable[[Clan], Clan] | None:
@@ -185,13 +182,6 @@ class Family(Protocol):
         if level == "adjoint" and self.p == self.q:
             return negate
         return None
-
-
-def _agreed(orbit: Clan, found: set[bool]) -> bool:
-    """The one verdict of the class of `orbit`."""
-    if len(found) != 1:
-        raise ConsistencyError(f"classification differs across the class of {orbit}")
-    return found.pop()
 
 
 def middle_crossings(clan: Clan) -> int:

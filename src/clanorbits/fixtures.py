@@ -174,7 +174,7 @@ def compare_fixture(fx: Fixture, family=None, poset: OrbitPoset | None = None) -
 
     fixture_boxed = {key(v) for v in fx.boxed}
     computed_boxed = {
-        clan for clan, smooth in zip(poset.orbits, family.verdicts(poset)) if not smooth
+        clan for clan, (smooth, _) in zip(poset.orbits, family.verdicts(poset)) if not smooth
     }
     for v in sorted(fixture_boxed - computed_boxed):
         diffs.append(f"boxed {v} in fixture only")

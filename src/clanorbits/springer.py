@@ -136,19 +136,14 @@ def cross_validate(family: Family, poset: OrbitPoset) -> dict:
     closed = list(masks.items())  # landmark k is the k-th closed node
     closed_bits = (1 << len(closed)) - 1
     dims = poset.dims
-    smooth = 0
-    singular = 0
+    smooth = sum(by_pattern for by_pattern, _ in verdicts)
     mismatches = []
-    for orbit, by_pattern, down, dim in zip(poset.orbits, verdicts, downs, dims):
+    for orbit, (by_pattern, _), down, dim in zip(poset.orbits, verdicts, downs, dims):
         below = down & closed_bits  # the closed nodes come first: a short int
         by_roots = not any(
             below >> k & 1 and root_count(layers, down) > dim - dims[cid]
             for k, (cid, layers) in enumerate(closed)
         )
-        if by_pattern:
-            smooth += 1
-        else:
-            singular += 1
         if by_pattern != by_roots:
             mismatches.append(
                 {
@@ -158,8 +153,8 @@ def cross_validate(family: Family, poset: OrbitPoset) -> dict:
                 }
             )
     return {
-        "orbits": len(poset.orbits),
+        "orbits": len(verdicts),
         "smooth": smooth,
-        "not_rationally_smooth": singular,
+        "not_rationally_smooth": len(verdicts) - smooth,
         "mismatches": mismatches,
     }

@@ -210,6 +210,20 @@ def test_cache_rejects_corruption(tmp_path, poset_a22):
         load_poset(bad)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("hi", -1), ("lo", -2), ("hi", 6), ("root", "x"), ("root", 0), ("root", -1), ("root", True),
+])
+def test_cache_rejects_covers_out_of_range(field, value):
+    """Cover ids must be orbit ids, never read back by negative indexing,
+    and root labels None or positive ints."""
+    data = poset_to_dict(build_poset(FamilyA(2, 1)))
+    assert data["covers"][-1] == {"lo": 4, "hi": 5, "root": 2} and len(data["orbits"]) == 6
+    assert len(poset_from_dict(data).covers) == 6
+    data["covers"][-1][field] = value
+    with pytest.raises(CorruptCache):
+        poset_from_dict(data)
+
+
 def test_load_or_build_uses_cache(tmp_path):
     family = FamilyD(2)
     first = load_or_build(family, tmp_path)

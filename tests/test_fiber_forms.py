@@ -14,6 +14,7 @@ import pytest
 
 from clanorbits import (
     Clan,
+    FamilyA,
     FamilyC,
     FamilyD,
     FiberFormC,
@@ -25,9 +26,10 @@ from clanorbits import (
 )
 from clanorbits.clans import _half_parity
 from clanorbits.cli import orbit_rows
-from clanorbits.closure import _swap
+from clanorbits.closure import _swap, build_poset, quotient_poset
+from clanorbits.family import SIGN_FLIP_LEVELS
 from clanorbits.family_c import fiber_form_c
-from clanorbits.family_d import fiber_form_d
+from clanorbits.family_d import ISOGENY_LEVELS_D, fiber_form_d
 
 from clan_transforms import concat, mate_list, reverse_negate_rename, reverse_rename
 
@@ -173,3 +175,25 @@ def test_verdicts_check_each_member_once(family, poset, members, request, monkey
     calls.clear()
     orbit_rows(family, poset)
     assert len(calls) == members
+
+
+VERDICT_FAMILIES = (
+    [FamilyA(p, q) for p in range(1, 4) for q in range(1, 4)]
+    + [FamilyC(p, q) for p in range(3) for q in range(3) if p + q]
+    + [FamilyD(n, conv) for n in range(1, 5) for conv in ("paper", "figure")]
+    + [FamilyD(5, "figure")]
+)
+
+
+@pytest.mark.parametrize("family", VERDICT_FAMILIES, ids=repr)
+def test_verdicts_are_the_checked_verdict_and_witness(family):
+    """Each node's (smooth, witness) is what the checked `classify` and
+    `fiber_form` give its representative, at every isogeny level."""
+    levels = ISOGENY_LEVELS_D if family.name == "d" else SIGN_FLIP_LEVELS
+    base = build_poset(family)
+    for level in levels:
+        view = quotient_poset(base, family.isogeny_fold(level), level)
+        judged = family.verdicts(view)
+        assert len(judged) == len(view.orbits)
+        for orbit, got in zip(view.orbits, judged):
+            assert got == (family.classify(orbit), family.fiber_form(orbit)), (level, orbit)
