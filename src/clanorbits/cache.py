@@ -3,7 +3,8 @@
 The on-disk schema is {version, family, p/q or n, convention, orbits,
 dims, covers}; orbits are canonical clan strings and covers carry their
 1-based root label or null for completion edges.  Loading validates the
-schema and the poset (cover ids and root labels, grading, one open
+schema and the poset (cover ids, root labels among the family's simple
+roots, one cover per pair unless the labels differ, grading, one open
 orbit, all-sign minima); it builds no reachability, which the poset
 computes when a query first needs it (the full down-sets at the first
 `le`).  `load_or_build` checks that the file holds the requested
@@ -16,6 +17,7 @@ import json
 import os
 import tempfile
 from pathlib import Path
+from typing import Container
 
 from .clans import parse_clan
 from .closure import OrbitPoset, build_poset
@@ -35,7 +37,9 @@ def poset_to_dict(poset: OrbitPoset) -> dict:
     }
 
 
-def poset_from_dict(data: dict) -> OrbitPoset:
+def poset_from_dict(data: dict, roots: Container[int] | None = None) -> OrbitPoset:
+    """The poset a cache dict holds, validated; with `roots`, the simple
+    roots of the family, a cover labelled by any other root is refused."""
     version = data.get("version")
     if version != CACHE_VERSION:
         raise VersionMismatch(f"cache version {version}, expected {CACHE_VERSION}")
@@ -51,7 +55,7 @@ def poset_from_dict(data: dict) -> OrbitPoset:
         if len(orbits) != len(set(orbits)) or len(orbits) != len(dims):
             raise ValueError("orbit list malformed")
         poset = OrbitPoset(meta, orbits, dims, covers)
-        poset.validate()
+        poset.validate(roots)
     except VersionMismatch:
         raise
     except Exception as exc:
@@ -85,25 +89,26 @@ def save_poset(poset: OrbitPoset, path: str | Path) -> Path:
     return path
 
 
-def load_poset(path: str | Path) -> OrbitPoset:
+def load_poset(path: str | Path, roots: Container[int] | None = None) -> OrbitPoset:
     try:
         data = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise CorruptCache(f"unreadable cache file {path}: {exc}") from exc
-    return poset_from_dict(data)
+    return poset_from_dict(data, roots)
 
 
 def load_or_build(family: Family, cache_dir: str | Path | None,
                   max_orbits: int | None = None) -> OrbitPoset:
     """Fetch the family's poset from the cache directory, building and
-    storing it on a miss.  A cached poset of another family is a
+    storing it on a miss.  A cached poset of another family, or one with a
+    cover labelled by a root that is not a simple root of the family, is a
     `CorruptCache`.  A build stops once it passes `max_orbits`; a cached
     poset over the cap is refused."""
     if cache_dir is None:
         return build_poset(family, max_orbits)
     path = Path(cache_dir) / cache_key(family.meta())
     if path.exists():
-        poset = load_poset(path)
+        poset = load_poset(path, family.root_indices())
         if poset.meta != family.meta():
             raise CorruptCache(f"{path} holds the poset of {poset.meta}, not {family.meta()}")
         if max_orbits is not None and len(poset) > max_orbits:

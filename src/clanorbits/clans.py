@@ -14,8 +14,9 @@ the 0-based position of the mate at a pair.  The code names no labels,
 so it is canonical by construction: ``2,2,5,5`` and ``1,1,2,2`` both
 store ``(1, 0, 3, 2)``, equality is tuple equality, and a move edits a
 few slots without relabelling the rest.  The labelled form
-(`Clan.symbols`, pair ids 1, 2, 3, ... in order of first occurrence) is
-derived from the code once per clan, for the text format only; code
+(pair ids 1, 2, 3, ... in order of first occurrence) is written from the
+code once per clan, as its text, and kept, since sorting and saving read
+it again and again; `Clan.symbols` is read off the text on each call.  Code
 that cuts a clan into blocks finds the cut points with `cuts` and
 reads each block through `block`.
 
@@ -61,11 +62,11 @@ class Clan:
     trusts its argument to be a valid code (mates point at each other).
     """
 
-    __slots__ = ("code", "_symbols")
+    __slots__ = ("code", "_text")
 
     def __init__(self, code: tuple):
         self.code = code
-        self._symbols = None
+        self._text = None
 
     @classmethod
     def from_symbols(cls, symbols: Sequence) -> "Clan":
@@ -94,19 +95,9 @@ class Clan:
     @property
     def symbols(self) -> tuple:
         """The labelled form: pair ids 1, 2, 3, ... in order of first
-        occurrence.  Derived from the code on first use, then kept."""
-        if self._symbols is None:
-            out = list(self.code)
-            label = 0
-            for i, m in enumerate(self.code):
-                if isinstance(m, int):
-                    if m > i:
-                        label += 1
-                        out[i] = label
-                    else:
-                        out[i] = out[m]
-            self._symbols = tuple(out)
-        return self._symbols
+        occurrence.  Read off the text on each call."""
+        text = str(self)
+        return tuple(t if t in (PLUS, MINUS) else int(t) for t in text.split(",")) if text else ()
 
     @property
     def pairs(self) -> tuple:
@@ -126,10 +117,11 @@ class Clan:
         return code.count(PLUS) + code.count(MINUS) == len(code)
 
     def compact(self) -> str:
-        """Digit-string form, falling back to comma form for ids > 9."""
-        if len(self.pairs) > 9:
-            return str(self)
-        return "".join(str(s) for s in self.symbols)
+        """Digit-string form, falling back to comma form for ids > 9:
+        the text without its commas, unless a token has two digits."""
+        text = str(self)
+        digits = text.replace(",", "")
+        return digits if len(digits) == len(self.code) else text
 
     def __len__(self) -> int:
         return len(self.code)
@@ -144,7 +136,21 @@ class Clan:
         return str(self) < str(other)
 
     def __str__(self) -> str:
-        return ",".join(str(s) for s in self.symbols)
+        """The labelled form, comma-separated.  Made on the first call and
+        kept: the rank sort, the save and the tables all read it."""
+        text = self._text
+        if text is None:
+            out = list(self.code)
+            label = 0
+            for i, m in enumerate(self.code):
+                if isinstance(m, int):
+                    if m > i:
+                        label += 1
+                        out[i] = str(label)
+                    else:
+                        out[i] = out[m]
+            text = self._text = ",".join(out)
+        return text
 
     def __repr__(self) -> str:
         return f"Clan({str(self)!r})"

@@ -13,8 +13,7 @@ Family objects plugged into `build_poset` follow `clanorbits.family.Family`.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Container, Iterable, Sequence
 
 from .clans import Clan
 from .errors import (
@@ -235,15 +234,28 @@ class OrbitPoset:
     def completed_covers(self) -> list[tuple]:
         return [e for e in self.covers if e[2] is None]
 
-    def validate(self) -> None:
-        for lo, hi, root in self.covers:
+    def validate(self, roots: Container[int] | None = None) -> None:
+        """Check the covers, the grading and the extremes.  A cover joins
+        two orbit ids; its root is None or a positive int, one of `roots`
+        when they are given.  A (lo, hi) pair carries one completed cover
+        or labelled ones with distinct roots, since completion never adds
+        a pair the weak order has."""
+        dims = self.dims
+        allowed = None if roots is None else frozenset(roots)
+        last = (None, None, None)
+        for cover in self.covers:
+            lo, hi, root = cover
             # an id past the end has already failed to index in `__init__`
-            if lo < 0 or hi < 0 or not (root is None or type(root) is int and root > 0):
-                raise ConsistencyError(f"cover {(lo, hi, root)} has a negative id or a bad root")
-            if self.dims[hi] != self.dims[lo] + 1:
+            if lo < 0 or hi < 0 or not (root is None or type(root) is int and root > 0
+                                        and (allowed is None or root in allowed)):
+                raise ConsistencyError(f"cover {cover} has a negative id or a bad root")
+            # sorted covers list a pair's roots ascending, None last
+            if hi == last[1] and lo == last[0] and (root is None or root == last[2]):
+                raise ConsistencyError(f"cover {cover} repeats the pair of {last}")
+            last = cover
+            if dims[hi] != dims[lo] + 1:
                 raise NotGraded(
-                    f"cover {self.orbits[lo]} -> {self.orbits[hi]} jumps "
-                    f"{self.dims[lo]} -> {self.dims[hi]}"
+                    f"cover {self.orbits[lo]} -> {self.orbits[hi]} jumps {dims[lo]} -> {dims[hi]}"
                 )
         # graded and finite: every node reaches a maximal one by covers,
         # so a single maximum lies above every node
@@ -266,8 +278,10 @@ def weak_order_graph(family: Family, max_orbits: int | None = None):
     family's own enumeration, which catches a move that leaves the
     family.  The closed-form count, taken before the walk, meets the
     enumeration's length cap and `max_orbits`, so oversized input fails
-    at once.  The walk keys its table by clan code, so each orbit is
-    one `Clan` however many edges reach it.
+    at once.  The walk moves codes with the family's unchecked `_raise`
+    (its roots are `root_indices`, which `raise_by` would check against
+    themselves) and keys its table by code, so a `Clan` is made only for
+    a code it has not seen: one per orbit, however many edges reach it.
     """
     total = family.count()
     if max_orbits is not None and total > max_orbits:
@@ -279,16 +293,19 @@ def weak_order_graph(family: Family, max_orbits: int | None = None):
     frontier = list(seen.values())
     roots = family.root_indices()
     dimension = family._dimension
+    move = family._raise
     while frontier:
         nxt = []
         for clan, base in frontier:
+            code = clan.code
             for root in roots:
-                raised = family.raise_by(clan, root)
-                if raised is None:
+                moved = move(code, root)
+                if moved is None:
                     continue
-                known = seen.get(raised.code)
+                known = seen.get(moved)
                 if known is None:
-                    known = seen[raised.code] = (raised, dimension(raised))
+                    raised = Clan(moved)
+                    known = seen[moved] = (raised, dimension(raised))
                     nxt.append(known)
                 raised, dim = known
                 edges.append((clan, raised, root))
@@ -308,27 +325,37 @@ def weak_order_graph(family: Family, max_orbits: int | None = None):
 
 def complete_closure(dims_by_id: Sequence[int],
                      weak_edges: Iterable[tuple[int, int, int]]) -> list[tuple]:
-    """Close the weak edge set under the diamond rule; id-level covers."""
+    """Close the weak edge set under the diamond rule; id-level covers.
+
+    Each node keeps the roots of its weak edges up (`weak_up`) and the
+    upper ends of its covers (`above`).  A cover u -> v, weak or added,
+    meets the rule only through the roots both ends raise by: root a
+    takes u to x and v to w, and x -> w must be a cover unless x is v.
+    So each popped cover visits the intersection of the two root sets,
+    and a new cover is one membership test in `above[x]`.  Completion
+    never adds a pair the weak order has; every added edge is checked
+    for the +1 grading.
+    """
     weak_up: list[dict[int, int]] = [{} for _ in dims_by_id]
+    above: list[set[int]] = [set() for _ in dims_by_id]
     triples: list[tuple] = []
-    pairs: set[tuple[int, int]] = set()
     for lo, hi, root in weak_edges:
         weak_up[lo][root] = hi
+        above[lo].add(hi)
         triples.append((lo, hi, root))
-        pairs.add((lo, hi))
-    work = deque(pairs)
+    roots_up = [up.keys() for up in weak_up]
+    work = [(lo, hi) for lo, his in enumerate(above) for hi in his]
     while work:
-        u, v = work.popleft()
-        up_v = weak_up[v]
+        u, v = work.pop()
         up_u = weak_up[u]
-        if not up_v or not up_u:
-            continue
-        for root, w in up_v.items():
-            x = up_u.get(root)
-            if x is not None and x != v and (x, w) not in pairs:
+        up_v = weak_up[v]
+        for root in roots_up[u] & roots_up[v]:
+            x = up_u[root]
+            w = up_v[root]
+            if x != v and w not in above[x]:
                 if dims_by_id[x] + 1 != dims_by_id[w]:
                     raise NotGraded("completion produced a non-grading edge")
-                pairs.add((x, w))
+                above[x].add(w)
                 triples.append((x, w, None))
                 work.append((x, w))
     return triples

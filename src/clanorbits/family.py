@@ -69,16 +69,13 @@ class Family(Protocol):
         self._check(clan)
         return self._dimension(clan)
 
-    @cached_property
-    def _simple_roots(self) -> range:  # `raise_by` checks every move of the walk against it
-        return self.root_indices()
-
     def _raise(self, code: tuple, root: int) -> tuple | None: ...  # the moved code, or None
 
     def raise_by(self, clan: Clan, root: int) -> Clan | None:
-        """The simple-root action when it raises dimension by one, else None;
-        the weak-order walk checks the result's membership and grading."""
-        if root not in self._simple_roots:
+        """The simple-root action when it raises dimension by one, else None.
+        The checked entry to `_raise`: the weak-order walk moves codes with
+        `_raise` itself and checks the results' membership and grading."""
+        if root not in self.root_indices():
             raise InvalidRoot(f"root {root} out of range for {self!r}")
         moved = self._raise(clan.code, root)
         return None if moved is None else Clan(moved)

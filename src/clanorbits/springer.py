@@ -140,10 +140,14 @@ def cross_validate(family: Family, poset: OrbitPoset) -> dict:
     mismatches = []
     for orbit, (by_pattern, _), down, dim in zip(poset.orbits, verdicts, downs, dims):
         below = down & closed_bits  # the closed nodes come first: a short int
-        by_roots = not any(
-            below >> k & 1 and root_count(layers, down) > dim - dims[cid]
-            for k, (cid, layers) in enumerate(closed)
-        )
+        by_roots = True
+        while below:  # only the closed nodes below the orbit, lowest bit first
+            low = below & -below
+            cid, layers = closed[low.bit_length() - 1]
+            if root_count(layers, down) > dim - dims[cid]:
+                by_roots = False
+                break
+            below ^= low
         if by_pattern != by_roots:
             mismatches.append(
                 {

@@ -3,13 +3,21 @@ reversal with every sign flipped, juxtaposition, the mate list, every
 mirror clan of a rank, and the type-A move at a 1-based position.
 The package builds its mirror clans with `clans.mirror_double`, cuts
 them with `clans.block`, reads mates off `Clan.code` and moves codes
-with `closure._move`, so it needs none of these."""
+with `closure._move`, so it needs none of these.
+
+Two oracles of the closure build keep its earlier, plainer forms: the
+weak-order walk through the checked `Family.raise_by`, one `Clan` per
+move, and the diamond completion that pops every cover from a queue,
+visits every root of its upper end and keeps a global set of pairs."""
 
 from __future__ import annotations
+
+from collections import deque
 
 from clanorbits import Clan, enumerate_clans, negate
 from clanorbits.clans import _check_length, mirror_doubles
 from clanorbits.closure import _move
+from clanorbits.errors import NotGraded
 
 
 def reverse_rename(clan: Clan) -> Clan:
@@ -54,3 +62,49 @@ def simple_move_a(clan: Clan, i: int) -> Clan | None:
         raise ValueError(f"move position {i} out of range 1..{len(clan) - 1}")
     out = _move(clan.code, i - 1)
     return None if out is None else Clan(out)
+
+
+def raise_by_walk(family) -> tuple[dict, list]:
+    """(dims, edges) of `closure.weak_order_graph`, by a breadth-first walk
+    that raises each orbit through `raise_by` and checks each new orbit's
+    dimension with the family's checked `dimension`."""
+    dims = {c: family.dimension(c) for c in family.closed_clans()}
+    edges = []
+    frontier = list(dims)
+    while frontier:
+        nxt = []
+        for clan in frontier:
+            for root in family.root_indices():
+                raised = family.raise_by(clan, root)
+                if raised is None:
+                    continue
+                if raised not in dims:
+                    dims[raised] = family.dimension(raised)
+                    nxt.append(raised)
+                edges.append((clan, raised, root))
+        frontier = nxt
+    return dims, edges
+
+
+def queue_closure(dims_by_id, weak_edges) -> list[tuple]:
+    """The covers of `closure.complete_closure`: a queue of covers, each
+    popped one tried against every root of its upper end."""
+    weak_up = [{} for _ in dims_by_id]
+    triples = []
+    pairs = set()
+    for lo, hi, root in weak_edges:
+        weak_up[lo][root] = hi
+        triples.append((lo, hi, root))
+        pairs.add((lo, hi))
+    work = deque(pairs)
+    while work:
+        u, v = work.popleft()
+        for root, w in weak_up[v].items():
+            x = weak_up[u].get(root)
+            if x is not None and x != v and (x, w) not in pairs:
+                if dims_by_id[x] + 1 != dims_by_id[w]:
+                    raise NotGraded("completion produced a non-grading edge")
+                pairs.add((x, w))
+                triples.append((x, w, None))
+                work.append((x, w))
+    return triples

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from clanorbits import (
     BAD_PATTERNS,
     Clan,
+    FamilyC,
+    FamilyD,
     avoids_bad_patterns,
     count_clans,
     enumerate_clans,
@@ -72,6 +74,42 @@ def test_parse_rejects_unbalanced_pairs():
 def test_round_trip_compact():
     g = P("1,2,+,1,2,-")
     assert P(g.compact()) == g
+
+
+def _labelled(c: Clan) -> tuple:
+    """The symbols of `c`: pair ids 1, 2, 3, ... by first position, read
+    off `Clan.pairs`."""
+    out = list(c.code)
+    for label, (i, j) in enumerate(c.pairs, 1):
+        out[i] = out[j] = label
+    return tuple(out)
+
+
+def test_text_is_made_once_and_matches_the_symbols():
+    """On every clan up to A(4,4), C(3,3) and D(6): `symbols`, the text
+    and `compact()` equal the forms built from the labelled symbols, and
+    a second `str` returns the kept text itself."""
+    families = (
+        [FamilyC(p, q) for p in range(4) for q in range(4)]
+        + [FamilyD(n) for n in range(1, 7)]
+    )
+    every = [c for p in range(5) for q in range(5) for c in enumerate_clans(p, q)]
+    every += [c for f in families for c in f.enumerate()]
+    for c in every:
+        sym = _labelled(c)
+        assert c.symbols == sym
+        text = str(c)
+        assert text == ",".join(str(s) for s in sym)
+        assert str(c) is text
+        digits = "".join(str(s) for s in sym)
+        assert c.compact() == (text if len(c.pairs) > 9 else digits)
+
+
+def test_compact_keeps_the_commas_past_nine_pairs():
+    nine = P(",".join(str(k) for k in range(1, 10) for _ in "ab"))
+    assert nine.compact() == "112233445566778899"
+    ten = P(",".join(str(k) for k in range(1, 11) for _ in "ab") + ",+")
+    assert ten.compact() == str(ten) == "1,1,2,2,3,3,4,4,5,5,6,6,7,7,8,8,9,9,10,10,+"
 
 
 # ----------------------------------------------------------- enumeration

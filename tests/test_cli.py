@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from clanorbits import FamilyA, FamilyC, FamilyD, build_poset
+from clanorbits import FamilyA, FamilyC, FamilyD, build_poset, parse_clan as P
 from clanorbits.cache import (
     cache_key,
     load_or_build,
@@ -222,6 +222,37 @@ def test_cache_rejects_covers_out_of_range(field, value):
     data["covers"][-1][field] = value
     with pytest.raises(CorruptCache):
         poset_from_dict(data)
+
+
+@pytest.mark.parametrize("edit", ["foreign root", "exact duplicate", "null beside a label"])
+def test_load_or_build_rejects_foreign_roots_and_repeated_pairs(tmp_path, edit):
+    """A cover's root is one of the family's simple roots, and a pair
+    carries one completed cover or labelled ones with distinct roots:
+    completion never adds a pair the weak order has."""
+    family = FamilyA(2, 1)  # simple roots 1 and 2
+    path = save_poset(build_poset(family), tmp_path / cache_key(family.meta()))
+    data = json.loads(path.read_text())
+    assert data["covers"][0] == {"lo": 0, "hi": 3, "root": 2}
+    assert len(load_or_build(family, tmp_path).covers) == 6
+    if edit == "foreign root":
+        data["covers"][0]["root"] = 99
+    elif edit == "exact duplicate":
+        data["covers"].append({"lo": 0, "hi": 3, "root": 2})
+    else:
+        data["covers"].append({"lo": 0, "hi": 3, "root": None})
+    path.write_text(json.dumps(data))
+    with pytest.raises(CorruptCache):
+        load_or_build(family, tmp_path)
+
+
+def test_load_or_build_keeps_distinct_labels_on_one_pair(tmp_path):
+    # the weak order of A(2,2) joins 1,2,1,2 to 1,2,2,1 by roots 1 and 3
+    family = FamilyA(2, 2)
+    built = load_or_build(family, tmp_path)
+    loaded = load_or_build(family, tmp_path)
+    i, j = built.orbits.index(P("1,2,1,2")), built.orbits.index(P("1,2,2,1"))
+    assert [e for e in loaded.covers if e[:2] == (i, j)] == [(i, j, 1), (i, j, 3)]
+    assert loaded.covers == built.covers
 
 
 def test_load_or_build_uses_cache(tmp_path):

@@ -17,10 +17,10 @@ from clanorbits import (
     weak_order_graph,
 )
 from clanorbits.cache import load_poset, save_poset
-from clanorbits.closure import _move
+from clanorbits.closure import OrbitPoset, _move
 from clanorbits.errors import ConsistencyError, InvalidRoot, NotGraded, RankTooLarge, UnknownOrbit
 
-from clan_transforms import simple_move_a
+from clan_transforms import queue_closure, raise_by_walk, simple_move_a
 
 P = parse_clan
 
@@ -118,6 +118,29 @@ def test_chain_poset_gains_no_edges():
     assert poset.completed_covers() == []
     poset = build_poset(FamilyC(1, 1))
     assert poset.completed_covers() == []
+
+
+ORACLE_FAMILIES = (
+    [FamilyA(p, q) for p in range(5) for q in range(5)]
+    + [FamilyC(p, q) for p in range(4) for q in range(4)]
+    + [FamilyD(n) for n in range(1, 7)]
+    + [FamilyD(n, "figure") for n in range(1, 6)]
+)
+
+
+@pytest.mark.parametrize("family", ORACLE_FAMILIES, ids=repr)
+def test_build_matches_the_raise_by_walk_and_queue_completion(family):
+    """The code walk gives the `raise_by` walk's orbits, dimensions and
+    edges in the same order, and completion over shared roots gives the
+    queue's covers."""
+    dims, edges = weak_order_graph(family)
+    want_dims, want_edges = raise_by_walk(family)
+    assert dims == want_dims and edges == want_edges
+    poset = build_poset(family)
+    idx = {c: i for i, c in enumerate(poset.orbits)}
+    weak_ids = [(idx[a], idx[b], r) for a, b, r in edges]
+    want = OrbitPoset(poset.meta, poset.orbits, poset.dims, queue_closure(poset.dims, weak_ids))
+    assert poset.covers == want.covers
 
 
 # -------------------------------------------------------------- queries

@@ -70,7 +70,7 @@ def _flip_ends(code, u, v):
     (_flip_ends, "move closure disagrees with enumeration"),
 ])
 def test_a_move_that_leaves_the_family_stops_the_build(monkeypatch, broken, message):
-    """raise_by does not check its result: the weak-order walk's single
+    """The move does not check its result: the weak-order walk's single
     check of each fact (the dimension of each new orbit, the +1 grading,
     the comparison with the enumeration) must stop such a move."""
     monkeypatch.setattr(family_module, "lifted_double_move", broken)
