@@ -2,20 +2,28 @@
 
 The on-disk schema is {version, family, p/q or n, convention, orbits,
 dims, covers}; orbits are canonical clan strings and covers carry their
-1-based root label or null for completion edges.  Loading validates the
-schema and the poset (cover ids, root labels among the family's simple
-roots, one cover per pair unless the labels differ, grading, one open
-orbit, all-sign minima); it builds no reachability, which the poset
-computes when a query first needs it (the full down-sets at the first
-`le`).  `load_or_build` checks that the file holds the requested
-family; a failed check raises rather than returning a bad poset.
+1-based root label or null for completion edges.  The file is
+`json.dumps(poset_to_dict(poset), sort_keys=True)`, byte for byte, but
+`save_poset` writes the covers as text, one format per cover, and puts
+only the small fields through `json.dumps`.  Loading decodes each clan
+with `parse_clan` and keeps the covers in file order, which is their
+canonical order, and validates the schema and the poset (cover ids, root
+labels among the family's simple roots, one cover per pair unless the
+labels differ, grading, one open orbit, all-sign minima); it builds no
+reachability, which the poset computes when a query first needs it (the
+full down-sets at the first `le`).  `load_or_build` checks that the file
+holds the requested family, and the orbit count against the cap, on the
+raw dict before it decodes a clan or a cover; a failed check raises
+rather than returning a bad poset.
 """
 
 from __future__ import annotations
 
 import json
+import operator
 import os
 import tempfile
+from itertools import starmap
 from pathlib import Path
 from typing import Container
 
@@ -25,39 +33,52 @@ from .errors import CorruptCache, RankTooLarge, VersionMismatch
 from .family import Family
 
 CACHE_VERSION = 1
+#: one cover as `json.dumps(..., sort_keys=True)` writes its dict, from (lo, hi, root)
+_COVER_TEXT = '{{"hi": {1}, "lo": {0}, "root": {2}}}'
+_cover = operator.itemgetter("lo", "hi", "root")
 
 
-def poset_to_dict(poset: OrbitPoset) -> dict:
+def _fields(poset: OrbitPoset) -> dict:
+    """Every field of the cache dict but the covers."""
     return {
         "version": CACHE_VERSION,
         **poset.meta,
         "orbits": [str(c) for c in poset.orbits],
         "dims": list(poset.dims),
+    }
+
+
+def poset_to_dict(poset: OrbitPoset) -> dict:
+    return {
+        **_fields(poset),
         "covers": [{"lo": lo, "hi": hi, "root": root} for lo, hi, root in poset.covers],
     }
+
+
+def _meta(data) -> dict:
+    """The meta fields of a cache dict whose version is checked."""
+    if not isinstance(data, dict):
+        raise CorruptCache(f"cache holds a {type(data).__name__}, not an object")
+    version = data.get("version")
+    if version != CACHE_VERSION:
+        raise VersionMismatch(f"cache version {version}, expected {CACHE_VERSION}")
+    return {k: v for k, v in data.items() if k not in ("version", "orbits", "dims", "covers")}
 
 
 def poset_from_dict(data: dict, roots: Container[int] | None = None) -> OrbitPoset:
     """The poset a cache dict holds, validated; with `roots`, the simple
     roots of the family, a cover labelled by any other root is refused."""
-    version = data.get("version")
-    if version != CACHE_VERSION:
-        raise VersionMismatch(f"cache version {version}, expected {CACHE_VERSION}")
+    meta = _meta(data)
     try:
-        orbits = [parse_clan(s) for s in data["orbits"]]
-        dims = [int(d) for d in data["dims"]]
-        covers = [(e["lo"], e["hi"], e["root"]) for e in data["covers"]]
-        meta = {
-            k: v
-            for k, v in data.items()
-            if k not in ("version", "orbits", "dims", "covers")
-        }
-        if len(orbits) != len(set(orbits)) or len(orbits) != len(dims):
+        orbits = list(map(parse_clan, data["orbits"]))
+        dims = list(map(int, data["dims"]))
+        covers = list(map(_cover, data["covers"]))
+        if len(orbits) != len(dims):
             raise ValueError("orbit list malformed")
         poset = OrbitPoset(meta, orbits, dims, covers)
+        if len(poset.member_index) != len(orbits):
+            raise ValueError("orbit list repeats a clan")
         poset.validate(roots)
-    except VersionMismatch:
-        raise
     except Exception as exc:
         raise CorruptCache(f"cache did not validate: {exc}") from exc
     return poset
@@ -75,13 +96,21 @@ def cache_key(meta: dict) -> str:
 
 def save_poset(poset: OrbitPoset, path: str | Path) -> Path:
     """Write through a temp file in the same directory and rename it into
-    place, so a concurrent reader sees the old file or the new, never part."""
+    place, so a concurrent reader sees the old file or the new, never part.
+    The covers go in as `_COVER_TEXT`, whose roots are ints or None (as
+    `validate` requires), so the bytes are those of `json.dumps` on
+    `poset_to_dict` without a dict per cover."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    head, tail = json.dumps({**_fields(poset), "covers": []}, sort_keys=True).split('"covers": []')
+    # the cover text holds digits and fixed keys only, so "None" is a null root
+    covers = ", ".join(starmap(_COVER_TEXT.format, poset.covers)).replace("None", "null")
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(json.dumps(poset_to_dict(poset), sort_keys=True))
+            fh.write(f'{head}"covers": [')
+            fh.write(covers)
+            fh.write(f"]{tail}")
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -89,12 +118,25 @@ def save_poset(poset: OrbitPoset, path: str | Path) -> Path:
     return path
 
 
-def load_poset(path: str | Path, roots: Container[int] | None = None) -> OrbitPoset:
+def load_poset(path: str | Path, family: Family | None = None,
+               max_orbits: int | None = None) -> OrbitPoset:
+    """The poset saved at `path`, validated.  With `family`, the file must
+    hold that family's poset, its covers labelled by the family's simple
+    roots, and at most `max_orbits` orbits; the meta and the orbit count
+    are checked on the raw dict, before a clan or a cover is decoded."""
     try:
         data = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON or bad UTF-8
         raise CorruptCache(f"unreadable cache file {path}: {exc}") from exc
-    return poset_from_dict(data, roots)
+    if family is None:
+        return poset_from_dict(data)
+    meta = _meta(data)
+    if meta != family.meta():
+        raise CorruptCache(f"{path} holds the poset of {meta}, not {family.meta()}")
+    orbits = data.get("orbits")
+    if max_orbits is not None and isinstance(orbits, list) and len(orbits) > max_orbits:
+        raise RankTooLarge(f"{len(orbits)} orbits exceed the cap of {max_orbits}")
+    return poset_from_dict(data, family.root_indices())
 
 
 def load_or_build(family: Family, cache_dir: str | Path | None,
@@ -103,17 +145,12 @@ def load_or_build(family: Family, cache_dir: str | Path | None,
     storing it on a miss.  A cached poset of another family, or one with a
     cover labelled by a root that is not a simple root of the family, is a
     `CorruptCache`.  A build stops once it passes `max_orbits`; a cached
-    poset over the cap is refused."""
+    poset over the cap is refused before it is decoded."""
     if cache_dir is None:
         return build_poset(family, max_orbits)
     path = Path(cache_dir) / cache_key(family.meta())
     if path.exists():
-        poset = load_poset(path, family.root_indices())
-        if poset.meta != family.meta():
-            raise CorruptCache(f"{path} holds the poset of {poset.meta}, not {family.meta()}")
-        if max_orbits is not None and len(poset) > max_orbits:
-            raise RankTooLarge(f"{len(poset)} orbits exceed the cap of {max_orbits}")
-        return poset
+        return load_poset(path, family, max_orbits)
     poset = build_poset(family, max_orbits)
     save_poset(poset, path)
     return poset

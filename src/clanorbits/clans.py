@@ -159,27 +159,39 @@ class Clan:
 def parse_clan(text: str) -> Clan:
     """Parse the comma token form, or the compact digit form.
 
+    One pass: the text is split once, each distinct token is checked once,
+    in order of first occurrence, and each pair id finds its two positions
+    with `list.index`.  The first bad token in position order is a
+    `MalformedToken` (a comma token with whitespace around it is checked
+    again stripped); ids that do not occur exactly twice are then a
+    `PairCountNotTwo`.  Pair ids are ASCII digits without a leading zero.
+
     >>> str(parse_clan("2,2,5,5"))
     '1,1,2,2'
     >>> parse_clan("1+-1").signature
     (2, 2)
     """
     text = text.strip()
-    if "," in text:
-        tokens = [t.strip() for t in text.split(",")]
-    else:
-        tokens = list(text)
-    symbols = []
-    for tok in tokens:
+    comma = "," in text
+    tokens = text.split(",") if comma else list(text)
+    code = tokens[:]
+    bad = []
+    for tok in dict.fromkeys(tokens):
         if tok == PLUS or tok == MINUS:
-            symbols.append(tok)
-        elif tok.isdigit() and tok != "0" and not tok.startswith("0"):
-            symbols.append(int(tok))
-        elif tok == "":
-            raise MalformedToken("empty clan token")
-        else:
-            raise MalformedToken(f"bad clan token {tok!r}")
-    return Clan.from_symbols(symbols)
+            continue
+        if not (tok.isdigit() and tok.isascii() and tok[0] != "0"):
+            if comma and tok != tok.strip():
+                return parse_clan(",".join([t.strip() for t in tokens]))
+            raise MalformedToken(f"bad clan token {tok!r}" if tok else "empty clan token")
+        i = tokens.index(tok)
+        if tokens.count(tok) != 2:
+            bad.append(int(tok))
+            continue
+        j = tokens.index(tok, i + 1)
+        code[i], code[j] = j, i
+    if bad:
+        raise PairCountNotTwo(f"pair ids {sorted(bad)} do not occur exactly twice")
+    return Clan(tuple(code))
 
 
 def _perfect_matchings(positions: tuple) -> Iterator[tuple]:

@@ -8,16 +8,18 @@ with `closure._move`, so it needs none of these.
 Two oracles of the closure build keep its earlier, plainer forms: the
 weak-order walk through the checked `Family.raise_by`, one `Clan` per
 move, and the diamond completion that pops every cover from a queue,
-visits every root of its upper end and keeps a global set of pairs."""
+visits every root of its upper end and keeps a global set of pairs.
+The clan parser keeps its earlier form too: every token checked and
+converted in turn, then paired through `Clan.from_symbols`."""
 
 from __future__ import annotations
 
 from collections import deque
 
 from clanorbits import Clan, enumerate_clans, negate
-from clanorbits.clans import _check_length, mirror_doubles
+from clanorbits.clans import MINUS, PLUS, _check_length, mirror_doubles
 from clanorbits.closure import _move
-from clanorbits.errors import NotGraded
+from clanorbits.errors import MalformedToken, NotGraded
 
 
 def reverse_rename(clan: Clan) -> Clan:
@@ -108,3 +110,25 @@ def queue_closure(dims_by_id, weak_edges) -> list[tuple]:
                 triples.append((x, w, None))
                 work.append((x, w))
     return triples
+
+
+def parse_clan_by_symbols(text: str) -> Clan:
+    """The clan `clans.parse_clan` reads from `text`: each stripped token
+    checked in position order and converted to a sign or an int, then
+    the symbols paired by `Clan.from_symbols`."""
+    text = text.strip()
+    if "," in text:
+        tokens = [t.strip() for t in text.split(",")]
+    else:
+        tokens = list(text)
+    symbols = []
+    for tok in tokens:
+        if tok == PLUS or tok == MINUS:
+            symbols.append(tok)
+        elif tok.isdigit() and tok != "0" and not tok.startswith("0"):
+            symbols.append(int(tok))
+        elif tok == "":
+            raise MalformedToken("empty clan token")
+        else:
+            raise MalformedToken(f"bad clan token {tok!r}")
+    return Clan.from_symbols(symbols)

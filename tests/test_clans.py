@@ -33,6 +33,7 @@ from clan_transforms import (
     concat,
     mate_list,
     mirror_clans,
+    parse_clan_by_symbols,
     reverse_negate_rename,
     reverse_rename,
 )
@@ -74,6 +75,48 @@ def test_parse_rejects_unbalanced_pairs():
 def test_round_trip_compact():
     g = P("1,2,+,1,2,-")
     assert P(g.compact()) == g
+
+
+def _outcome(parse, text: str):
+    """The code `parse` reads from `text`, or the type and message it raises."""
+    try:
+        return parse(text).code
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def test_parse_matches_the_symbol_parser_on_every_orbit():
+    """On every clan up to A(4,4), C(3,3) and D(6), the one-pass parser
+    reads the text, and the compact form where it has no commas, to the
+    code the parser through `Clan.from_symbols` reads."""
+    families = (
+        [FamilyC(p, q) for p in range(4) for q in range(4)]
+        + [FamilyD(n) for n in range(1, 7)]
+    )
+    every = [c for p in range(5) for q in range(5) for c in enumerate_clans(p, q)]
+    every += [c for f in families for c in f.enumerate()]
+    for c in every:
+        for text in {str(c), c.compact()}:
+            assert P(text).code == parse_clan_by_symbols(text).code == c.code, text
+
+
+@pytest.mark.parametrize("text", [
+    "", "1,,1", "0,0", "01,01", "1,x,1", "1,1,1,1", "1,2,1", "1,+,2",
+    " 1 , + ,-, 1 ", "\t1,1\n", "1, ,1", "1 1", "1+ -1", "x,1,y", "1,2,x,01",
+    "3,1,1,3,+", "12,12", "1,2,3", "+,-", "11", "1,1,2,2,2,3",
+])
+def test_parse_errors_match_the_symbol_parser(text):
+    """Same code, or same exception type and message: the first bad token
+    in position order, else the sorted ids that do not occur twice."""
+    assert _outcome(P, text) == _outcome(parse_clan_by_symbols, text)
+
+
+@pytest.mark.parametrize("text", ["\u0661,\u0661", "\u00b2,\u00b2", "1\u0661"])
+def test_parse_takes_ascii_digits_only(text):
+    """Pair ids are ASCII digits: `str.isdigit` alone would let an
+    Arabic-Indic one pair with a 1, or a superscript reach `int`."""
+    with pytest.raises(MalformedToken):
+        P(text)
 
 
 def _labelled(c: Clan) -> tuple:

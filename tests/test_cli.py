@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import random
 import time
 
 import pytest
@@ -16,7 +17,10 @@ from clanorbits.cache import (
     save_poset,
 )
 from clanorbits.cli import main
-from clanorbits.errors import CorruptCache, VersionMismatch
+from clanorbits.closure import quotient_poset
+from clanorbits.errors import CorruptCache, RankTooLarge, VersionMismatch
+from clanorbits.family import SIGN_FLIP_LEVELS
+from clanorbits.family_d import ISOGENY_LEVELS_D
 
 
 def run(capsys, *argv):
@@ -205,9 +209,12 @@ def test_cache_rejects_corruption(tmp_path, poset_a22):
     with pytest.raises(CorruptCache):
         poset_from_dict(data)
     bad = tmp_path / "broken.json"
-    bad.write_text("{not json")
-    with pytest.raises(CorruptCache):
-        load_poset(bad)
+    for text in (b"{not json", b"[]", b"7", b"\xff\xfe"):  # not JSON, not an object, not UTF-8
+        bad.write_bytes(text)
+        with pytest.raises(CorruptCache):
+            load_poset(bad)
+        with pytest.raises(CorruptCache):
+            load_poset(bad, FamilyA(2, 2))
 
 
 @pytest.mark.parametrize("field, value", [
@@ -299,3 +306,55 @@ def test_cache_file_bytes_are_pinned(tmp_path, family, digest):
     stored as labelled symbols, so caches of either storage load alike."""
     path = save_poset(build_poset(family), tmp_path / cache_key(family.meta()))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+WRITER_FAMILIES = (
+    [FamilyA(p, q) for p in range(1, 4) for q in range(1, 4)]
+    + [FamilyC(p, q) for p in range(3) for q in range(3) if p + q]
+    + [FamilyD(n) for n in range(1, 6)]
+    + [FamilyD(n, "figure") for n in range(1, 5)]
+)
+
+
+@pytest.mark.parametrize("family", WRITER_FAMILIES, ids=repr)
+def test_save_writes_the_bytes_of_json_dumps(tmp_path, family):
+    """The covers written as text give the file `json.dumps` writes for
+    the whole dict, at every isogeny level, so the `level` and
+    `convention` keys sit in their sorted places."""
+    levels = ISOGENY_LEVELS_D if family.name == "d" else SIGN_FLIP_LEVELS
+    base = build_poset(family)
+    for level in levels:
+        view = quotient_poset(base, family.isogeny_fold(level), level)
+        path = save_poset(view, tmp_path / cache_key(view.meta))
+        assert path.read_text() == json.dumps(poset_to_dict(view), sort_keys=True), level
+
+
+@pytest.mark.parametrize("order", ["reversed", "shuffled"])
+def test_covers_out_of_order_load_sorted(tmp_path, order):
+    """A file whose covers are out of order loads to the canonical list:
+    by (lo, hi), a pair's labelled roots ascending."""
+    family = FamilyA(2, 2)  # 1,2,1,2 -> 1,2,2,1 carries roots 1 and 3
+    built = build_poset(family)
+    path = save_poset(built, tmp_path / cache_key(family.meta()))
+    data = json.loads(path.read_text())
+    if order == "reversed":
+        data["covers"].reverse()
+    else:
+        random.Random(15).shuffle(data["covers"])
+    path.write_text(json.dumps(data))
+    assert load_or_build(family, tmp_path).covers == built.covers
+
+
+@pytest.mark.parametrize("saved, max_orbits, error", [
+    (FamilyC(1, 1), None, CorruptCache),
+    (FamilyA(2, 2), 10, RankTooLarge),
+], ids=["foreign", "oversized"])
+def test_load_or_build_refuses_before_decoding(tmp_path, monkeypatch, saved, max_orbits, error):
+    """A cache of another family, or one over the cap, is refused on its
+    raw dict: no clan of it is parsed."""
+    save_poset(build_poset(saved), tmp_path / "a-p2-q2.json")
+    parsed = []
+    monkeypatch.setattr("clanorbits.cache.parse_clan", parsed.append)
+    with pytest.raises(error):
+        load_or_build(FamilyA(2, 2), tmp_path, max_orbits)
+    assert parsed == []

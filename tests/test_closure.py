@@ -226,7 +226,8 @@ def test_full_down_sets_wait_for_the_first_le(tmp_path):
         assert poset.le(poset.orbits[0], poset.orbits[0]) and poset._down is not None
         for j, below in enumerate(searched):
             assert {i for i in range(len(poset)) if poset.le_ids(i, j)} == below
-            assert set(map(poset.id_of, poset.closed_below(poset.orbits[j]))) == below & closed
+            got = list(map(poset.id_of, poset.closed_below(poset.orbits[j])))
+            assert got == sorted(below & closed)  # lowest id first
 
 
 def test_down_over_restricts_the_down_sets(poset_a33):
