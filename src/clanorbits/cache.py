@@ -6,15 +6,15 @@ dims, covers}; orbits are canonical clan strings and covers carry their
 `json.dumps(poset_to_dict(poset), sort_keys=True)`, byte for byte, but
 `save_poset` writes the covers as text, one format per cover, and puts
 only the small fields through `json.dumps`.  Loading decodes each clan
-with `parse_clan` and keeps the covers in file order, which is their
-canonical order, and validates the schema and the poset (cover ids, root
-labels among the family's simple roots, one cover per pair unless the
-labels differ, grading, one open orbit, all-sign minima); it builds no
-reachability, which the poset computes when a query first needs it (the
-full down-sets at the first `le`).  `load_or_build` checks that the file
-holds the requested family, and the orbit count against the cap, on the
-raw dict before it decodes a clan or a cover; a failed check raises
-rather than returning a bad poset.
+with `parse_clan`, sorts the covers (one comparison each, since the file
+lists them in canonical order) and validates the schema and the poset
+(cover ids, root labels among the family's simple roots, one cover per
+pair unless the labels differ, grading, one open orbit, all-sign
+minima); it builds no reachability, which the poset computes when a
+query first needs it (the full down-sets at the first `le`).
+`load_or_build` checks that the file holds the requested family, and the
+orbit count against the cap, on the raw dict before it decodes a clan or
+a cover; a failed check raises rather than returning a bad poset.
 """
 
 from __future__ import annotations

@@ -36,6 +36,7 @@ the comma form.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from itertools import combinations, product
 from typing import Iterable, Iterator, Sequence
 
@@ -159,12 +160,14 @@ class Clan:
 def parse_clan(text: str) -> Clan:
     """Parse the comma token form, or the compact digit form.
 
-    One pass: the text is split once, each distinct token is checked once,
-    in order of first occurrence, and each pair id finds its two positions
-    with `list.index`.  The first bad token in position order is a
-    `MalformedToken` (a comma token with whitespace around it is checked
-    again stripped); ids that do not occur exactly twice are then a
-    `PairCountNotTwo`.  Pair ids are ASCII digits without a leading zero.
+    One pass, linear in the text: the text is split once and each token
+    is read once, in position order.  A pair id is checked at its first
+    occurrence and remembered with its position; its second occurrence
+    closes the pair.  The first bad token is a `MalformedToken` (a comma
+    token with whitespace around it is checked again stripped); if any
+    position is left unpaired, the ids that do not occur exactly twice
+    are a `PairCountNotTwo`.  Pair ids are ASCII digits without a leading
+    zero.
 
     >>> str(parse_clan("2,2,5,5"))
     '1,1,2,2'
@@ -175,22 +178,25 @@ def parse_clan(text: str) -> Clan:
     comma = "," in text
     tokens = text.split(",") if comma else list(text)
     code = tokens[:]
-    bad = []
-    for tok in dict.fromkeys(tokens):
+    first: dict[str, int] = {}
+    placed = tokens.count(PLUS) + tokens.count(MINUS)
+    for k, tok in enumerate(tokens):
         if tok == PLUS or tok == MINUS:
             continue
-        if not (tok.isdigit() and tok.isascii() and tok[0] != "0"):
-            if comma and tok != tok.strip():
-                return parse_clan(",".join([t.strip() for t in tokens]))
-            raise MalformedToken(f"bad clan token {tok!r}" if tok else "empty clan token")
-        i = tokens.index(tok)
-        if tokens.count(tok) != 2:
-            bad.append(int(tok))
-            continue
-        j = tokens.index(tok, i + 1)
-        code[i], code[j] = j, i
-    if bad:
-        raise PairCountNotTwo(f"pair ids {sorted(bad)} do not occur exactly twice")
+        i = first.get(tok)
+        if i is None:
+            if not (tok.isdigit() and tok.isascii() and tok[0] != "0"):
+                if comma and tok != tok.strip():
+                    return parse_clan(",".join([t.strip() for t in tokens]))
+                raise MalformedToken(f"bad clan token {tok!r}" if tok else "empty clan token")
+            first[tok] = k
+        elif code[i] == tok:  # still unpaired: this is the second occurrence
+            code[i], code[k] = k, i
+            placed += 2
+    if placed != len(tokens):
+        bad = sorted(int(t) for t, c in Counter(tokens).items()
+                     if c != 2 and t != PLUS and t != MINUS)
+        raise PairCountNotTwo(f"pair ids {bad} do not occur exactly twice")
     return Clan(tuple(code))
 
 

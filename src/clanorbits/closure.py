@@ -13,8 +13,6 @@ Family objects plugged into `build_poset` follow `clanorbits.family.Family`.
 
 from __future__ import annotations
 
-import operator
-from itertools import islice
 from typing import TYPE_CHECKING, Callable, Container, Iterable, Sequence
 
 from .clans import Clan
@@ -136,17 +134,17 @@ class OrbitPoset:
 
     Covers are triples ``(lo, hi, root)`` of orbit ids; ``root`` is the
     1-based simple-root label of a weak-order edge or ``None`` for an
-    edge added by completion.  They are kept in the canonical order
-    (lo, hi, labelled roots ascending, None last); a list already in that
-    order, as a saved file lists it, is kept as it is and not sorted.
+    edge added by completion.  They are sorted into the canonical order
+    (lo, hi, labelled roots ascending, None last) by plain tuple order,
+    which a list already in that order, as a saved file lists it, passes
+    with one comparison per cover.
     ``members[i]`` lists the clans fused into node i (a single clan
     except on isogeny-quotient posets).
 
     `down_over(ids)` gives each node its down-set restricted to `ids`.
     `closed_below` reads it over the closed nodes; the full down-sets
     `down`, Θ(N²) bits, are built at the first `le` (or the first read
-    of `down`) and kept.  The incoming covers of each node, which the
-    pass reads, are listed at its first run.
+    of `down`) and kept.
     """
 
     def __init__(self, meta: dict, orbits: Sequence[Clan], dims: Sequence[int],
@@ -155,23 +153,24 @@ class OrbitPoset:
         self.orbits = list(orbits)
         self.dims = list(dims)
         self.covers = covers = list(covers)
-        try:  # triples compare in the canonical order, unless a pair mixes None and a label
-            ordered = all(map(operator.le, covers, islice(covers, 1, None)))
+        try:  # plain tuple order is the canonical one unless a pair mixes None and a label
+            covers.sort()
         except TypeError:
-            ordered = False
-        if not ordered:
             covers.sort(key=lambda e: (e[0], e[1], e[2] is None, e[2] or 0))
         self.members = [tuple(m) for m in members] if members is not None \
             else [(c,) for c in self.orbits]
         self.member_index = {
             m: i for i, ms in enumerate(self.members) for m in ms
         }
-        has_below = set(map(operator.itemgetter(1), covers))
-        has_above = set(map(operator.itemgetter(0), covers))
         n = len(self.orbits)
-        self._minima = [i for i in range(n) if i not in has_below]
-        self._maxima = [i for i in range(n) if i not in has_above]
-        self._incoming: list[list[int]] | None = None
+        incoming: list[list[int]] = [[] for _ in range(n)]
+        outgoing = [0] * n
+        for lo, hi, _ in covers:
+            incoming[hi].append(lo)
+            outgoing[lo] += 1
+        self._incoming = incoming
+        self._minima = [i for i in range(n) if not incoming[i]]
+        self._maxima = [i for i in range(n) if not outgoing[i]]
         self._down: list[int] | None = None
         self._closed_down: list[int] | None = None
 
@@ -181,10 +180,6 @@ class OrbitPoset:
         order; each node's bit is made only when the pass reaches it."""
         bit = {v: k for k, v in enumerate(ids)}
         incoming = self._incoming
-        if incoming is None:
-            incoming = self._incoming = [[] for _ in self.orbits]
-            for lo, hi, _ in self.covers:
-                incoming[hi].append(lo)
         masks = [0] * len(self.orbits)
         for v in sorted(range(len(masks)), key=self.dims.__getitem__):
             k = bit.get(v)
@@ -258,7 +253,7 @@ class OrbitPoset:
         last = (None, None, None)
         for cover in self.covers:
             lo, hi, root = cover
-            # an id past the end fails to index `dims` below
+            # an id past the end has already failed to index in `__init__`
             if lo < 0 or hi < 0 or not (root is None or type(root) is int and root > 0
                                         and (allowed is None or root in allowed)):
                 raise ConsistencyError(f"cover {cover} has a negative id or a bad root")

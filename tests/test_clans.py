@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import time
 from functools import lru_cache
 
 import pytest
@@ -117,6 +118,23 @@ def test_parse_takes_ascii_digits_only(text):
     Arabic-Indic one pair with a 1, or a superscript reach `int`."""
     with pytest.raises(MalformedToken):
         P(text)
+
+
+def test_parse_is_linear_in_the_text():
+    """A text of 40,000 tokens (20,000 nested pairs) parses in well under
+    a second; a parser that searched the token list once per pair id
+    takes some 20 s.  A third occurrence there is still found."""
+    n = 20_000
+    ids = [str(i) for i in range(1, n + 1)]
+    text = ",".join(ids + ids[::-1])
+    start = time.perf_counter()
+    c = P(text)
+    assert time.perf_counter() - start < 1.0
+    assert c.code == tuple(range(2 * n - 1, -1, -1))
+    start = time.perf_counter()
+    with pytest.raises(PairCountNotTwo, match=r"pair ids \[7\] "):
+        P(text + ",7")
+    assert time.perf_counter() - start < 1.0
 
 
 def _labelled(c: Clan) -> tuple:
