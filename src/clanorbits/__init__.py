@@ -1,10 +1,11 @@
 """Clan combinatorics for symmetric-subgroup orbits on flag varieties.
 
 Enumerates the orbits of the U(p,q), Sp(p,q) and SO*(2n) families via
-clans, builds the full closure order from the weak order by diamond
-completion, and classifies each orbit closure as smooth or not
-rationally smooth twice over: by the eight-pattern avoidance criteria
-and independently by root counting over closed orbits.
+clans, builds the full closure order from the weak order by the
+Richardson-Springer identity, one weak edge per orbit, and classifies
+each orbit closure as smooth or not rationally smooth twice over: by the
+eight-pattern avoidance criteria and independently by root counting over
+closed orbits.
 """
 
 from .clans import (

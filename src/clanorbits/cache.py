@@ -8,9 +8,9 @@ dims, covers}; orbits are canonical clan strings and covers carry their
 only the small fields through `json.dumps`.  Loading decodes each clan
 with `parse_clan`, sorts the covers (one comparison each, since the file
 lists them in canonical order) and validates the schema and the poset
-(cover ids, root labels among the family's simple roots, one cover per
-pair unless the labels differ, grading, one open orbit, all-sign
-minima); it builds no reachability, which the poset computes when a
+(dims and cover ids JSON integers, cover ids in range, root labels
+among the family's simple roots, one cover per pair unless the labels
+differ, grading, one open orbit, all-sign minima); it builds no reachability, which the poset computes when a
 query first needs it (the full down-sets at the first `le`).
 `load_or_build` checks that the file holds the requested family, and the
 orbit count against the cap, on the raw dict before it decodes a clan or
@@ -71,7 +71,9 @@ def poset_from_dict(data: dict, roots: Container[int] | None = None) -> OrbitPos
     meta = _meta(data)
     try:
         orbits = list(map(parse_clan, data["orbits"]))
-        dims = list(map(int, data["dims"]))
+        dims = list(data["dims"])
+        if any(type(d) is not int for d in dims):  # a JSON integer, not a bool
+            raise ValueError("a dim is not an integer")
         covers = list(map(_cover, data["covers"]))
         if len(orbits) != len(dims):
             raise ValueError("orbit list malformed")

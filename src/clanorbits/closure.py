@@ -1,12 +1,11 @@
-"""Weak closure order, diamond completion, and graded orbit posets.
+"""Weak closure order, its completion, and graded orbit posets.
 
 The weak order is generated by dimension-raising moves attached to
-simple roots.  The full closure order is its completion under one rule:
-whenever weak edges O2 -a-> O1 and O4 -a-> O3 carry the same root label,
-some cover edge O4 -> O2 exists (labeled or completed), and O3 != O2,
-the cover O3 -> O1 must be present; added edges are marked "completed"
-(the dashed edges of closure diagrams).  The rule is applied to a
-fixpoint; added edges participate again as the O4 -> O2 premise.
+simple roots.  The full closure order follows from it by one identity
+(Richardson and Springer 1990): if root s raises u to v, the lower
+covers of v are the nodes s raises to v and the nodes s raises the lower
+covers of u to.  Covers that the identity adds to the weak edges are
+marked "completed" (the dashed edges of closure diagrams).
 
 Family objects plugged into `build_poset` follow `clanorbits.family.Family`.
 """
@@ -244,19 +243,20 @@ class OrbitPoset:
 
     def validate(self, roots: Container[int] | None = None) -> None:
         """Check the covers, the grading and the extremes.  A cover joins
-        two orbit ids; its root is None or a positive int, one of `roots`
-        when they are given.  A (lo, hi) pair carries one completed cover
-        or labelled ones with distinct roots, since completion never adds
-        a pair the weak order has."""
+        two orbit ids, ints and not bools; its root is None or a positive
+        int, one of `roots` when they are given.  A (lo, hi) pair carries
+        one completed cover or labelled ones with distinct roots, since
+        completion never adds a pair the weak order has."""
         dims = self.dims
         allowed = None if roots is None else frozenset(roots)
         last = (None, None, None)
         for cover in self.covers:
             lo, hi, root = cover
             # an id past the end has already failed to index in `__init__`
-            if lo < 0 or hi < 0 or not (root is None or type(root) is int and root > 0
-                                        and (allowed is None or root in allowed)):
-                raise ConsistencyError(f"cover {cover} has a negative id or a bad root")
+            if type(lo) is not int or type(hi) is not int or lo < 0 or hi < 0 or not (
+                    root is None or type(root) is int and root > 0
+                    and (allowed is None or root in allowed)):
+                raise ConsistencyError(f"cover {cover} has a bad id or a bad root")
             # sorted covers list a pair's roots ascending, None last
             if hi == last[1] and lo == last[0] and (root is None or root == last[2]):
                 raise ConsistencyError(f"cover {cover} repeats the pair of {last}")
@@ -333,39 +333,36 @@ def weak_order_graph(family: Family, max_orbits: int | None = None):
 
 def complete_closure(dims_by_id: Sequence[int],
                      weak_edges: Iterable[tuple[int, int, int]]) -> list[tuple]:
-    """Close the weak edge set under the diamond rule; id-level covers.
+    """The weak edges and the covers that complete them, root None.
 
-    Each node keeps the roots of its weak edges up (`weak_up`) and the
-    upper ends of its covers (`above`).  A cover u -> v, weak or added,
-    meets the rule only through the roots both ends raise by: root a
-    takes u to x and v to w, and x -> w must be a cover unless x is v.
-    So each popped cover visits the intersection of the two root sets,
-    and a new cover is one membership test in `above[x]`.  Completion
-    never adds a pair the weak order has; every added edge is checked
-    for the +1 grading.
+    If root s raises u to v, the closure of v is the P_s-saturation of the
+    closure of u (Richardson and Springer 1990, section 7).  On a graded
+    poset: the lower covers of v are the nodes s raises to v, plus m(s)x,
+    the node s raises x to, for each lower cover x of u that s raises.
+    This holds for every weak edge into v, so any one gives all of v's
+    lower covers: its weak lower ends plus those m(s)x.  The nodes are
+    visited in dimension order, so u's lower covers are complete when v
+    reads them.  A weak pair keeps its labels; each added cover is
+    checked for the +1 grading.
     """
+    lower: list[list[int]] = [[] for _ in dims_by_id]
     weak_up: list[dict[int, int]] = [{} for _ in dims_by_id]
-    above: list[set[int]] = [set() for _ in dims_by_id]
-    triples: list[tuple] = []
-    for lo, hi, root in weak_edges:
+    into: dict[int, tuple[int, int]] = {}  # one weak edge (u, s) into each node
+    triples: list[tuple] = list(weak_edges)
+    for lo, hi, root in triples:
+        lower[hi].append(lo)
         weak_up[lo][root] = hi
-        above[lo].add(hi)
-        triples.append((lo, hi, root))
-    roots_up = [up.keys() for up in weak_up]
-    work = [(lo, hi) for lo, his in enumerate(above) for hi in his]
-    while work:
-        u, v = work.pop()
-        up_u = weak_up[u]
-        up_v = weak_up[v]
-        for root in roots_up[u] & roots_up[v]:
-            x = up_u[root]
-            w = up_v[root]
-            if x != v and w not in above[x]:
-                if dims_by_id[x] + 1 != dims_by_id[w]:
+        into[hi] = (lo, root)
+    for v in sorted(into, key=dims_by_id.__getitem__):
+        u, s = into[v]
+        seen = set(lower[v])
+        for w in (weak_up[x].get(s) for x in lower[u]):
+            if w is not None and w not in seen:
+                if dims_by_id[w] + 1 != dims_by_id[v]:
                     raise NotGraded("completion produced a non-grading edge")
-                above[x].add(w)
-                triples.append((x, w, None))
-                work.append((x, w))
+                seen.add(w)
+                lower[v].append(w)
+                triples.append((w, v, None))
     return triples
 
 

@@ -7,8 +7,10 @@ with `closure._move`, so it needs none of these.
 
 Two oracles of the closure build keep its earlier, plainer forms: the
 weak-order walk through the checked `Family.raise_by`, one `Clan` per
-move, and the diamond completion that pops every cover from a queue,
-visits every root of its upper end and keeps a global set of pairs.
+move, and `queue_closure`, the one oracle of the closure order: the
+diamond rule run to a fixpoint, popping every cover from a queue,
+visiting every root of its upper end and keeping a global set of pairs.
+The package reads the same order off one weak edge per node.
 The clan parser keeps its earlier form too: every token checked and
 converted in turn, then paired through `Clan.from_symbols`."""
 
@@ -89,8 +91,9 @@ def raise_by_walk(family) -> tuple[dict, list]:
 
 
 def queue_closure(dims_by_id, weak_edges) -> list[tuple]:
-    """The covers of `closure.complete_closure`: a queue of covers, each
-    popped one tried against every root of its upper end."""
+    """The covers of `closure.complete_closure` by the diamond rule: a
+    queue of covers, each popped one tried against every root of its
+    upper end, until no cover is new."""
     weak_up = [{} for _ in dims_by_id]
     triples = []
     pairs = set()

@@ -231,6 +231,31 @@ def test_cache_rejects_covers_out_of_range(field, value):
         poset_from_dict(data)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("dims", [0.9, 0.9, 1.9]), ("dims", ["0", "0", "1"]), ("dims", [False, False, 1]),
+    ("lo", True), ("hi", True),
+], ids=["float dims", "string dims", "bool dims", "bool lo", "bool hi"])
+def test_cache_refuses_numbers_that_are_not_json_integers(tmp_path, field, value):
+    """A dim or a cover id must be a JSON integer: a float, a string or a
+    bool is refused, not rounded or read as 0 or 1 (a bool id would be
+    written back as `True`, which is not JSON)."""
+    family = FamilyA(1, 1)  # +,- and -,+ below 1,1
+    path = save_poset(build_poset(family), tmp_path / cache_key(family.meta()))
+    data = json.loads(path.read_text())
+    assert data["dims"] == [0, 0, 1]
+    assert data["covers"] == [{"hi": 2, "lo": 0, "root": 1}, {"hi": 2, "lo": 1, "root": 1}]
+    if field == "dims":
+        data["dims"] = value
+    elif field == "lo":
+        data["covers"][1]["lo"] = value  # lo 1 read as True
+    else:
+        data["dims"] = [0, 1, 2]  # the chain +,- < -,+ < 1,1: its first cover ends at 1
+        data["covers"][0]["hi"] = value
+    path.write_text(json.dumps(data))
+    with pytest.raises(CorruptCache):
+        load_poset(path, family)
+
+
 @pytest.mark.parametrize("edit", ["foreign root", "exact duplicate", "null beside a label"])
 def test_load_or_build_rejects_foreign_roots_and_repeated_pairs(tmp_path, edit):
     """A cover's root is one of the family's simple roots, and a pair

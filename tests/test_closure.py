@@ -17,7 +17,7 @@ from clanorbits import (
     weak_order_graph,
 )
 from clanorbits.cache import load_poset, save_poset
-from clanorbits.closure import OrbitPoset, _move
+from clanorbits.closure import OrbitPoset, _move, complete_closure
 from clanorbits.errors import ConsistencyError, InvalidRoot, NotGraded, RankTooLarge, UnknownOrbit
 
 from clan_transforms import queue_closure, raise_by_walk, simple_move_a
@@ -120,19 +120,29 @@ def test_chain_poset_gains_no_edges():
     assert poset.completed_covers() == []
 
 
+def test_completion_refuses_a_cover_off_the_grading():
+    # 0 -1-> 1 -2-> 2, and root 2 raises 1's lower cover 0 to 3, whose
+    # dimension is that of 2: the weak edge 0 -2-> 3 jumps two steps
+    dims, weak = [0, 1, 2, 2], [(0, 1, 1), (1, 2, 2), (0, 3, 2)]
+    with pytest.raises(NotGraded):
+        complete_closure(dims, weak)
+    with pytest.raises(NotGraded):
+        queue_closure(dims, weak)
+
+
 ORACLE_FAMILIES = (
     [FamilyA(p, q) for p in range(5) for q in range(5)]
-    + [FamilyC(p, q) for p in range(4) for q in range(4)]
-    + [FamilyD(n) for n in range(1, 7)]
-    + [FamilyD(n, "figure") for n in range(1, 6)]
+    + [FamilyC(p, q) for p in range(4) for q in range(4)] + [FamilyC(4, 3)]
+    + [FamilyD(n) for n in range(1, 8)]
+    + [FamilyD(n, "figure") for n in range(1, 8)]
 )
 
 
 @pytest.mark.parametrize("family", ORACLE_FAMILIES, ids=repr)
-def test_build_matches_the_raise_by_walk_and_queue_completion(family):
+def test_build_matches_the_raise_by_walk_and_queue_closure(family):
     """The code walk gives the `raise_by` walk's orbits, dimensions and
-    edges in the same order, and completion over shared roots gives the
-    queue's covers."""
+    edges in the same order, and the one-pass completion gives the
+    covers of the queue closure."""
     dims, edges = weak_order_graph(family)
     want_dims, want_edges = raise_by_walk(family)
     assert dims == want_dims and edges == want_edges
@@ -141,6 +151,26 @@ def test_build_matches_the_raise_by_walk_and_queue_completion(family):
     weak_ids = [(idx[a], idx[b], r) for a, b, r in edges]
     want = OrbitPoset(poset.meta, poset.orbits, poset.dims, queue_closure(poset.dims, weak_ids))
     assert poset.covers == want.covers
+
+
+@pytest.mark.parametrize("family", ORACLE_FAMILIES, ids=repr)
+def test_every_weak_edge_gives_the_lower_covers_of_its_upper_end(family):
+    """If s raises u to v, the lower covers of v are its weak lower ends
+    plus the raise by s of each lower cover of u that s raises.  The build
+    reads this on one weak edge per node; every weak edge must give the
+    same set.  Raised by the family's `_raise` on codes."""
+    poset = build_poset(family)
+    code = [c.code for c in poset.orbits]
+    lower = {c: set() for c in code}
+    for lo, hi, _ in poset.covers:
+        lower[code[hi]].add(code[lo])
+    _, edges = weak_order_graph(family)
+    weak_lower = {c: set() for c in code}
+    for u, v, _ in edges:
+        weak_lower[v.code].add(u.code)
+    for u, v, s in edges:
+        raised = {family._raise(x, s) for x in lower[u.code]} - {None}
+        assert lower[v.code] == weak_lower[v.code] | raised, (u, v, s)
 
 
 # -------------------------------------------------------------- queries
