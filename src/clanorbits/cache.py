@@ -10,11 +10,11 @@ with `parse_clan`, sorts the covers (one comparison each, since the file
 lists them in canonical order) and validates the schema and the poset
 (dims and cover ids JSON integers, cover ids in range, root labels
 among the family's simple roots, one cover per pair unless the labels
-differ, grading, one open orbit, all-sign minima); it builds no reachability, which the poset computes when a
-query first needs it (the full down-sets at the first `le`).
-`load_or_build` checks that the file holds the requested family, and the
-orbit count against the cap, on the raw dict before it decodes a clan or
-a cover; a failed check raises rather than returning a bad poset.
+differ, grading, one open orbit, all-sign minima); it builds no
+reachability, which the poset computes when a query first needs it.
+`load_or_build` checks the family, and the orbit count against the cap
+and the family's closed-form count, on the raw dict before it decodes a
+clan or a cover; a failed check raises rather than returning a bad poset.
 """
 
 from __future__ import annotations
@@ -124,8 +124,8 @@ def load_poset(path: str | Path, family: Family | None = None,
                max_orbits: int | None = None) -> OrbitPoset:
     """The poset saved at `path`, validated.  With `family`, the file must
     hold that family's poset, its covers labelled by the family's simple
-    roots, and at most `max_orbits` orbits; the meta and the orbit count
-    are checked on the raw dict, before a clan or a cover is decoded."""
+    roots, and `family.count()` orbits, at most `max_orbits`; the meta and
+    the orbit count are checked on the raw dict, before a clan is decoded."""
     try:
         data = json.loads(Path(path).read_text())
     except (OSError, ValueError) as exc:  # ValueError: bad JSON or bad UTF-8
@@ -136,8 +136,11 @@ def load_poset(path: str | Path, family: Family | None = None,
     if meta != family.meta():
         raise CorruptCache(f"{path} holds the poset of {meta}, not {family.meta()}")
     orbits = data.get("orbits")
-    if max_orbits is not None and isinstance(orbits, list) and len(orbits) > max_orbits:
-        raise RankTooLarge(f"{len(orbits)} orbits exceed the cap of {max_orbits}")
+    if isinstance(orbits, list):
+        if max_orbits is not None and len(orbits) > max_orbits:
+            raise RankTooLarge(f"{len(orbits)} orbits exceed the cap of {max_orbits}")
+        if len(orbits) != (total := family.count()):
+            raise CorruptCache(f"{path} holds {len(orbits)} orbits, the family has {total}")
     return poset_from_dict(data, family.root_indices())
 
 

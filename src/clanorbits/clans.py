@@ -16,9 +16,11 @@ store ``(1, 0, 3, 2)``, equality is tuple equality, and a move edits a
 few slots without relabelling the rest.  The labelled form
 (pair ids 1, 2, 3, ... in order of first occurrence) is written from the
 code once per clan, as its text, and kept, since sorting and saving read
-it again and again; `Clan.symbols` is read off the text on each call.  Code
-that cuts a clan into blocks finds the cut points with `cuts` and
-reads each block through `block`.
+it again and again; `Clan.symbols` is read off the text on each call.
+It and `Clan.from_symbols` have no caller in the package: they are
+public API, kept for library callers.  Code that cuts a clan into
+blocks finds the cut points with `cuts` and reads each block through
+`block`.
 
 The clans of types C and D have length 2n and mirror themselves:
 position 2n-1-i repeats (or, in type D, flips) the sign at position i,

@@ -76,18 +76,11 @@ def lifted_double_move(code: tuple, u: int, v: int):
     orbit was already dense in the relevant fiber).
     """
     first = _move(code, u)
-    mirror_on_original = _move(code, v) is not None
-    if first is None:
-        if mirror_on_original:
-            raise ConsistencyError(
-                f"mirrored moves disagree on {Clan(code)}: position {v + 1} raises alone"
-            )
-        return None
-    if not mirror_on_original:
+    if (first is None) != (_move(code, v) is None):
+        alone = v if first is None else u
         raise ConsistencyError(
-            f"mirrored moves disagree on {Clan(code)}: position {u + 1} raises alone"
-        )
-    return _move(first, v)
+            f"mirrored moves disagree on {Clan(code)}: position {alone + 1} raises alone")
+    return None if first is None else _move(first, v)
 
 
 def raising_moves_oracle(clan: Clan) -> set[Clan]:
@@ -134,9 +127,9 @@ class OrbitPoset:
     Covers are triples ``(lo, hi, root)`` of orbit ids; ``root`` is the
     1-based simple-root label of a weak-order edge or ``None`` for an
     edge added by completion.  They are sorted into the canonical order
-    (lo, hi, labelled roots ascending, None last) by plain tuple order,
-    which a list already in that order, as a saved file lists it, passes
-    with one comparison per cover.
+    (lo, hi, labelled roots ascending) by plain tuple order, which a list
+    already in that order, as a saved file lists it, passes with one
+    comparison per cover.
     ``members[i]`` lists the clans fused into node i (a single clan
     except on isogeny-quotient posets).
 
@@ -152,10 +145,10 @@ class OrbitPoset:
         self.orbits = list(orbits)
         self.dims = list(dims)
         self.covers = covers = list(covers)
-        try:  # plain tuple order is the canonical one unless a pair mixes None and a label
+        try:  # plain tuple order is the canonical one
             covers.sort()
-        except TypeError:
-            covers.sort(key=lambda e: (e[0], e[1], e[2] is None, e[2] or 0))
+        except TypeError as exc:  # e.g. a pair with None beside a label, which `validate` refuses
+            raise ConsistencyError(f"covers do not sort: {exc}") from None
         self.members = [tuple(m) for m in members] if members is not None \
             else [(c,) for c in self.orbits]
         self.member_index = {
@@ -257,7 +250,7 @@ class OrbitPoset:
                     root is None or type(root) is int and root > 0
                     and (allowed is None or root in allowed)):
                 raise ConsistencyError(f"cover {cover} has a bad id or a bad root")
-            # sorted covers list a pair's roots ascending, None last
+            # sorted covers list a pair's roots ascending; a None sorts only beside a None
             if hi == last[1] and lo == last[0] and (root is None or root == last[2]):
                 raise ConsistencyError(f"cover {cover} repeats the pair of {last}")
             last = cover
@@ -279,17 +272,17 @@ def weak_order_graph(family: Family, max_orbits: int | None = None):
     """Upward move-closure of the family's closed orbits.
 
     Returns (dims, edges): a dict clan -> dimension and the list of
-    labeled weak edges.  Each fact is checked once: the closed orbits
-    through the family's checked `dimension`, every edge for the +1
-    grading against the dimension of its new end (computed once, without
-    the membership check), and the harvested orbit set against the
-    family's own enumeration, which catches a move that leaves the
-    family.  The closed-form count, taken before the walk, meets the
-    enumeration's length cap and `max_orbits`, so oversized input fails
-    at once.  The walk moves codes with the family's unchecked `_raise`
-    (its roots are `root_indices`, which `raise_by` would check against
-    themselves) and keys its table by code, so a `Clan` is made only for
-    a code it has not seen: one per orbit, however many edges reach it.
+    labeled weak edges.  Simple-root raises reach every orbit from the
+    closed ones (Richardson and Springer 1990), so members as many as
+    the closed-form `count()` are the family, which is never enumerated.
+    Each fact is checked once: the closed orbits through the checked
+    `dimension`; each new orbit by `contains`, then its dimension without
+    the check (the codes are well formed: `_swap` carries the mates and
+    `tests/test_moves.py` pins each move); each edge for the +1 grading;
+    the orbit total against the count, which is taken first and meets the
+    length cap and `max_orbits`, so oversized input fails at once.  The
+    walk moves codes with the unchecked `_raise` (its roots are
+    `root_indices`) and keys its table by code: one `Clan` per orbit.
     """
     total = family.count()
     if max_orbits is not None and total > max_orbits:
@@ -313,6 +306,8 @@ def weak_order_graph(family: Family, max_orbits: int | None = None):
                 known = seen.get(moved)
                 if known is None:
                     raised = Clan(moved)
+                    if not family.contains(raised):
+                        raise ConsistencyError(f"{clan} -{root}-> {raised} leaves the family")
                     known = seen[moved] = (raised, dimension(raised))
                     nxt.append(known)
                 raised, dim = known
@@ -320,14 +315,8 @@ def weak_order_graph(family: Family, max_orbits: int | None = None):
                 if dim != base + 1:
                     raise NotGraded(f"{clan} -{root}-> {raised} is not a +1 edge")
         frontier = nxt
-    expected = {c.code for c in family.enumerate()}
-    if seen.keys() != expected:
-        missing = expected - seen.keys()
-        extra = seen.keys() - expected
-        raise ConsistencyError(
-            f"move closure disagrees with enumeration: "
-            f"{len(missing)} missing, {len(extra)} extra"
-        )
+    if len(seen) != total:
+        raise ConsistencyError(f"move closure reaches {len(seen)} orbits, the count is {total}")
     return dict(seen.values()), edges
 
 

@@ -54,6 +54,7 @@ class Family(Protocol):
         ...
 
     def contains(self, clan: Clan) -> bool:
+        """Whether the family holds `clan`: the walk asks each new orbit once."""
         try:
             self._check(clan)
         except ClanError:
@@ -62,7 +63,7 @@ class Family(Protocol):
 
     def _dimension(self, clan: Clan) -> int:
         """The dimension without the membership check: for the weak-order
-        walk, whose comparison with the enumeration checks membership once."""
+        walk, which has checked the orbit with `contains`."""
         ...
 
     def dimension(self, clan: Clan) -> int:

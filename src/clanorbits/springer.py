@@ -21,7 +21,8 @@ the closed nodes and the nodes their roots raise them to.
 `raised_masks` folds each closed node's raised nodes into bitmasks over
 the landmarks once and takes every node's down-set over the landmarks
 (`OrbitPoset.down_over`), so the count for an orbit is a popcount of
-the two (`root_count`).
+the two (`root_count`).  `rationally_smooth` and `SpringerReport.to_json`
+(with `Family.root_str`) are public API for library callers; the package calls neither.
 
 Everything here also runs on isogeny-quotient posets: nodes then carry
 several clans, the closed node's representative drives the root data,

@@ -102,6 +102,21 @@ def test_verify_counts_reports_a_disagreement(monkeypatch, tmp_path, capsys):
         assert code == 1 and "move closure DIFFERS from the predicate: FAIL" in out
 
 
+@pytest.mark.parametrize("family, flags", [
+    (FamilyC, ["--family", "c", "--p", "2", "--q", "1"]),
+    (FamilyD, ["--family", "d", "--n", "4"]),
+], ids=["C(2,1)", "D(4)"])
+def test_cold_verify_counts_enumerates_once(monkeypatch, tmp_path, capsys, family, flags):
+    """The command enumerates the family; the build beside it does not."""
+    calls = []
+    full = family.enumerate
+    monkeypatch.setattr(family, "enumerate", lambda self: calls.append(self) or full(self))
+    for cache in ([], ["--cache-dir", str(tmp_path)]):  # built, or built and saved
+        calls.clear()
+        code, out = run(capsys, "verify", "counts", *flags, *cache)
+        assert code == 0 and "move closure matches" in out and len(calls) == 1
+
+
 def test_verify_springer(capsys):
     code, out = run(capsys, "verify", "springer", "--family", "a", "--p", "1", "--q", "1")
     assert code == 0 and "0 mismatches" in out
@@ -310,6 +325,28 @@ def test_save_poset_replaces_atomically(tmp_path, poset_a22):
         assert reader.read() == "stale"
     assert load_poset(path).orbits == poset_a22.orbits
     assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+
+def test_cache_with_an_orbit_missing_is_corrupt(tmp_path, capsys):
+    """A saved A(2,2) with the closed orbit +,+,-,- dropped and the covers
+    re-indexed still validates as a poset; only the family's closed-form
+    count (21) tells it is not the family's, before a clan is decoded."""
+    family = FamilyA(2, 2)
+    path = save_poset(build_poset(family), tmp_path / cache_key(family.meta()))
+    data = json.loads(path.read_text())
+    gone = data["orbits"].index("+,+,-,-")
+    del data["orbits"][gone], data["dims"][gone]
+    data["covers"] = [
+        {"lo": c["lo"] - (c["lo"] > gone), "hi": c["hi"] - (c["hi"] > gone), "root": c["root"]}
+        for c in data["covers"] if gone not in (c["lo"], c["hi"])
+    ]
+    path.write_text(json.dumps(data))
+    assert len(load_poset(path)) == 20
+    with pytest.raises(CorruptCache, match="holds 20 orbits, the family has 21"):
+        load_poset(path, family)
+    code, out = run(capsys, "verify", "springer", "--family", "a", "--p", "2", "--q", "2",
+                    "--cache-dir", str(tmp_path))
+    assert code == 2 and out == ""
 
 
 def test_cache_rejects_another_familys_poset(tmp_path, capsys):

@@ -153,6 +153,19 @@ def test_build_matches_the_raise_by_walk_and_queue_closure(family):
     assert poset.covers == want.covers
 
 
+@pytest.mark.parametrize("family", [FamilyA(3, 3), FamilyC(3, 2), FamilyD(6)], ids=repr)
+def test_build_never_enumerates_the_family(monkeypatch, family):
+    """The walk checks each orbit's membership and the closed-form count,
+    so it gives the enumerated orbits without calling `enumerate`."""
+    expected = set(family.enumerate())
+
+    def refuse(self):
+        raise AssertionError("build_poset enumerated the family")
+
+    monkeypatch.setattr(type(family), "enumerate", refuse)
+    assert set(build_poset(family).orbits) == expected
+
+
 @pytest.mark.parametrize("family", ORACLE_FAMILIES, ids=repr)
 def test_every_weak_edge_gives_the_lower_covers_of_its_upper_end(family):
     """If s raises u to v, the lower covers of v are its weak lower ends

@@ -65,14 +65,28 @@ def _flip_ends(code, u, v):
     return (flip[moved[0]],) + moved[1:-1] + (flip[moved[-1]],)
 
 
+@pytest.mark.parametrize("u, v", [(0, 2), (2, 0)])
+def test_mirrored_moves_that_disagree_stop(u, v):
+    """Position 3 of +,+,+,- raises and position 1 does not, in either role."""
+    with pytest.raises(ConsistencyError, match="position 3 raises alone"):
+        lifted_double_move(P("+,+,+,-").code, u, v)
+
+
+def _never_raises(code, u, v):
+    """A lifted move that never raises: only the middle root moves."""
+    return None
+
+
 @pytest.mark.parametrize("broken, message", [
-    (_one_sided, "odd length statistic"),
-    (_flip_ends, "move closure disagrees with enumeration"),
-])
+    (_one_sided, r"\+,\+,-,-,\+,\+ -2-> \+,1,1,-,\+,\+ leaves the family"),
+    (_flip_ends, r"\+,\+,-,-,\+,\+ -2-> -,1,1,2,2,- leaves the family"),
+    (_never_raises, "move closure reaches 3 orbits, the count is 9"),
+], ids=["one-sided", "flip-ends", "never-raises"])
 def test_a_move_that_leaves_the_family_stops_the_build(monkeypatch, broken, message):
     """The move does not check its result: the weak-order walk's single
-    check of each fact (the dimension of each new orbit, the +1 grading,
-    the comparison with the enumeration) must stop such a move."""
+    check of each fact (the membership of each new orbit, the +1 grading,
+    the number of orbits against the closed-form count) must stop a move
+    that leaves the family or one that misses orbits."""
     monkeypatch.setattr(family_module, "lifted_double_move", broken)
     with pytest.raises(ConsistencyError, match=message):
         build_poset(FamilyC(2, 1))
