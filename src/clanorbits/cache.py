@@ -10,9 +10,10 @@ with `parse_clan`, sorts the covers (one comparison each, since the file
 lists them in canonical order) and validates the schema and the poset
 (dims and cover ids JSON integers, cover ids in range, root labels
 among the family's simple roots, one cover per pair unless the labels
-differ, grading, one open orbit, all-sign minima); it builds no
-reachability, which the poset computes when a query first needs it.
-`load_or_build` checks the family, and the orbit count against the cap
+differ, grading, ids rising with dimension, one open orbit, all-sign
+minima); it builds no reachability, which the poset computes when a
+query first needs it.  `load_or_build` checks the version and the family
+(in value and JSON type), and the orbit count against the cap
 and the family's closed-form count, on the raw dict before it decodes a
 clan or a cover; a failed check raises rather than returning a bad poset.
 """
@@ -60,7 +61,7 @@ def _meta(data) -> dict:
     if not isinstance(data, dict):
         raise CorruptCache(f"cache holds a {type(data).__name__}, not an object")
     version = data.get("version")
-    if version != CACHE_VERSION:
+    if type(version) is not int or version != CACHE_VERSION:
         raise VersionMismatch(f"cache version {version}, expected {CACHE_VERSION}")
     return {k: v for k, v in data.items() if k not in ("version", "orbits", "dims", "covers")}
 
@@ -133,7 +134,8 @@ def load_poset(path: str | Path, family: Family | None = None,
     if family is None:
         return poset_from_dict(data)
     meta = _meta(data)
-    if meta != family.meta():
+    # compared as JSON text, so a `true` or `1.0` in the file is not the family's `1`
+    if json.dumps(meta, sort_keys=True) != json.dumps(family.meta(), sort_keys=True):
         raise CorruptCache(f"{path} holds the poset of {meta}, not {family.meta()}")
     orbits = data.get("orbits")
     if isinstance(orbits, list):

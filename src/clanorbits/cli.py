@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import groupby
 
 from .cache import load_or_build, poset_to_dict
 from .closure import OrbitPoset, quotient_poset, raising_moves_oracle
@@ -62,18 +63,14 @@ def orbit_rows(family, poset: OrbitPoset) -> list[dict]:
 
 
 def poset_dot(family, poset: OrbitPoset) -> str:
-    """DOT digraph: one rank per dimension, boxes on singular closures,
-    dashed style on completion edges, root labels on the rest."""
-    ids = {c: f"n{i}" for i, c in enumerate(poset.orbits)}
+    """DOT digraph: one rank per dimension (a run of ids), boxes on singular
+    closures, dashed style on completion edges, root labels on the rest."""
     lines = ["digraph closure {", "  rankdir=BT;", '  node [shape=ellipse];']
-    by_dim: dict[int, list[int]] = {}
-    for i, d in enumerate(poset.dims):
-        by_dim.setdefault(d, []).append(i)
     for i, (clan, (smooth, _)) in enumerate(zip(poset.orbits, family.verdicts(poset))):
         shape = "ellipse" if smooth else "box"
         lines.append(f'  n{i} [label="{clan.compact()}" shape={shape}];')
-    for d in sorted(by_dim):
-        group = "; ".join(f"n{i}" for i in by_dim[d])
+    for _, run in groupby(range(len(poset)), key=poset.dims.__getitem__):
+        group = "; ".join(f"n{i}" for i in run)
         lines.append(f"  {{ rank=same; {group}; }}")
     for lo, hi, root in poset.covers:
         attr = "style=dashed" if root is None else f'label="{root}"'

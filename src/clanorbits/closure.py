@@ -131,7 +131,10 @@ class OrbitPoset:
     already in that order, as a saved file lists it, passes with one
     comparison per cover.
     ``members[i]`` lists the clans fused into node i (a single clan
-    except on isogeny-quotient posets).
+    except on isogeny-quotient posets).  Ids rise with dimension:
+    `build_poset` and `quotient_poset` number orbits by (dimension, text),
+    `validate` checks it, and `down_over`, `complete_closure` and
+    `cli.poset_dot` walk ids instead of sorting.
 
     `down_over(ids)` gives each node its down-set restricted to `ids`.
     `closed_below` reads it over the closed nodes; the full down-sets
@@ -168,15 +171,14 @@ class OrbitPoset:
 
     def down_over(self, ids: Sequence[int]) -> list[int]:
         """Per node v, its down-set over `ids`: bit k is set when node
-        ids[k] lies below v (or is v).  One upward pass in dimension
-        order; each node's bit is made only when the pass reaches it."""
+        ids[k] lies below v (or is v).  One upward pass in id order, that
+        is by dimension; each node's bit is made when the pass reaches it."""
         bit = {v: k for k, v in enumerate(ids)}
-        incoming = self._incoming
         masks = [0] * len(self.orbits)
-        for v in sorted(range(len(masks)), key=self.dims.__getitem__):
+        for v, below in enumerate(self._incoming):
             k = bit.get(v)
             d = 0 if k is None else 1 << k
-            for u in incoming[v]:
+            for u in below:
                 d |= masks[u]
             masks[v] = d
         return masks
@@ -235,11 +237,11 @@ class OrbitPoset:
         return [e for e in self.covers if e[2] is None]
 
     def validate(self, roots: Container[int] | None = None) -> None:
-        """Check the covers, the grading and the extremes.  A cover joins
-        two orbit ids, ints and not bools; its root is None or a positive
-        int, one of `roots` when they are given.  A (lo, hi) pair carries
-        one completed cover or labelled ones with distinct roots, since
-        completion never adds a pair the weak order has."""
+        """Check the covers, the grading, the id order and the extremes.
+        A cover joins two orbit ids, ints and not bools; its root is None or
+        a positive int, one of `roots` when they are given.  A (lo, hi) pair
+        carries one completed cover or labelled ones with distinct roots,
+        since completion never adds a pair the weak order has."""
         dims = self.dims
         allowed = None if roots is None else frozenset(roots)
         last = (None, None, None)
@@ -258,6 +260,8 @@ class OrbitPoset:
                 raise NotGraded(
                     f"cover {self.orbits[lo]} -> {self.orbits[hi]} jumps {dims[lo]} -> {dims[hi]}"
                 )
+        if dims != sorted(dims):
+            raise ConsistencyError("ids do not rise with dimension")
         # graded and finite: every node reaches a maximal one by covers,
         # so a single maximum lies above every node
         if len(self.orbits) > 1 and len(self._maxima) != 1:
@@ -330,20 +334,20 @@ def complete_closure(dims_by_id: Sequence[int],
     the node s raises x to, for each lower cover x of u that s raises.
     This holds for every weak edge into v, so any one gives all of v's
     lower covers: its weak lower ends plus those m(s)x.  The nodes are
-    visited in dimension order, so u's lower covers are complete when v
-    reads them.  A weak pair keeps its labels; each added cover is
-    checked for the +1 grading.
+    visited by id, which rises with dimension, so u's lower covers are
+    complete when v reads them.  A weak pair keeps its labels; each
+    added cover is checked for the +1 grading.
     """
     lower: list[list[int]] = [[] for _ in dims_by_id]
     weak_up: list[dict[int, int]] = [{} for _ in dims_by_id]
-    into: dict[int, tuple[int, int]] = {}  # one weak edge (u, s) into each node
+    # one weak edge (u, s) into each node; a minimum reads its own (empty) lower covers
+    into: list[tuple[int, int | None]] = [(v, None) for v in range(len(dims_by_id))]
     triples: list[tuple] = list(weak_edges)
     for lo, hi, root in triples:
         lower[hi].append(lo)
         weak_up[lo][root] = hi
         into[hi] = (lo, root)
-    for v in sorted(into, key=dims_by_id.__getitem__):
-        u, s = into[v]
+    for v, (u, s) in enumerate(into):
         seen = set(lower[v])
         for w in (weak_up[x].get(s) for x in lower[u]):
             if w is not None and w not in seen:
@@ -378,32 +382,30 @@ def build_poset(family: Family, max_orbits: int | None = None) -> OrbitPoset:
 
 def quotient_poset(poset: OrbitPoset, fold: Callable[[Clan], Clan] | None,
                    level: str) -> OrbitPoset:
-    """Fold a poset by an order-preserving involution on its orbits; with
-    no fold (`Family.isogeny_fold` found nothing to fold) the poset itself."""
+    """Fold a poset by an order-preserving involution of its orbits, or
+    refuse a fold that leaves them, changes a dimension or is no involution;
+    with no fold (`Family.isogeny_fold` found nothing to fold) the poset
+    itself.  A class is named by its member with the least text, and the
+    classes are numbered by (dimension, text)."""
     if fold is None:
         return poset
-    rep: dict[Clan, Clan] = {}
-    for c in poset.orbits:
-        image = fold(c)
-        if image not in poset.member_index:
-            raise ConsistencyError(f"fold image {image} left the orbit set")
-        if poset.dim_of(image) != poset.dim_of(c):
+    orbits, dims = poset.orbits, poset.dims
+    image = [poset.member_index.get(fold(c)) for c in orbits]
+    if None in image:
+        raise ConsistencyError(f"fold image {fold(orbits[image.index(None)])} left the orbit set")
+    for i, j in enumerate(image):
+        if dims[j] != dims[i]:
             raise ConsistencyError("fold does not preserve dimension")
-        rep[c] = min(c, image)
-    members: dict[Clan, set[Clan]] = {}
-    for c, r in rep.items():
-        members.setdefault(r, set()).add(c)
-    reps = sorted(members, key=lambda c: (poset.dim_of(c), str(c)))
-    dims = [poset.dim_of(r) for r in reps]
-    covers = {
-        (rep[poset.orbits[lo]], rep[poset.orbits[hi]], root)
-        for lo, hi, root in poset.covers
-    }
-    ridx = {r: i for i, r in enumerate(reps)}
-    cover_ids = [(ridx[a], ridx[b], root) for a, b, root in covers]
-    meta = dict(poset.meta)
-    meta["level"] = level
-    folded = OrbitPoset(meta, reps, dims,
-                        cover_ids, [sorted(members[r]) for r in reps])
+        if image[j] != i:
+            raise ConsistencyError("fold is not an involution")
+    reps = [i for i, j in enumerate(image) if not orbits[j] < orbits[i]]
+    reps.sort(key=lambda i: (dims[i], str(orbits[i])))
+    new_id = [0] * len(orbits)
+    for k, i in enumerate(reps):
+        new_id[i] = new_id[image[i]] = k
+    covers = {(new_id[lo], new_id[hi], root) for lo, hi, root in poset.covers}
+    folded = OrbitPoset(
+        {**poset.meta, "level": level}, [orbits[i] for i in reps], [dims[i] for i in reps], covers,
+        [(orbits[i],) if image[i] == i else (orbits[i], orbits[image[i]]) for i in reps])
     folded.validate()
     return folded

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from importlib import resources
+from itertools import groupby
 
 from .clans import Clan, parse_clan
 from .closure import OrbitPoset, build_poset, quotient_poset
@@ -129,9 +130,12 @@ def poset_for_fixture(fx: Fixture):
 
 
 def compare_fixture(fx: Fixture, family=None, poset: OrbitPoset | None = None) -> list[str]:
-    """Diff a freshly built poset against the fixture; [] means match."""
+    """Diff a poset against the fixture, a fresh build unless `poset` is
+    given, judged by `family` or the fixture's own; [] means match."""
     if poset is None:
         family, poset = poset_for_fixture(fx)
+    elif family is None:
+        family = family_for_fixture(fx)
     diffs: list[str] = []
 
     def key(clan: Clan) -> Clan:
@@ -145,10 +149,8 @@ def compare_fixture(fx: Fixture, family=None, poset: OrbitPoset | None = None) -
     for v in sorted(computed_vertices - fixture_vertices):
         diffs.append(f"vertex {v} computed only")
 
-    by_dim: dict[int, set[Clan]] = {}
-    for c, d in zip(poset.orbits, poset.dims):
-        by_dim.setdefault(d, set()).add(c)
-    computed_rows = [by_dim[d] for d in sorted(by_dim, reverse=True)]
+    ranks = groupby(range(len(poset)), key=poset.dims.__getitem__)  # ids rise with dimension
+    computed_rows = [{poset.orbits[i] for i in run} for _, run in ranks][::-1]
     fixture_rows = [{key(v) for v in row} for row in fx.rows]
     if len(computed_rows) != len(fixture_rows):
         diffs.append(

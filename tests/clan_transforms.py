@@ -11,6 +11,9 @@ move, and `queue_closure`, the one oracle of the closure order: the
 diamond rule run to a fixpoint, popping every cover from a queue,
 visiting every root of its upper end and keeping a global set of pairs.
 The package reads the same order off one weak edge per node.
+`quotient_by_clans` keeps the clan-keyed isogeny quotient: a
+representative per clan, member sets and a set of clan covers, renumbered
+by a dict.  The package folds on orbit ids.
 The clan parser keeps its earlier form too: every token checked and
 converted in turn, then paired through `Clan.from_symbols`."""
 
@@ -20,8 +23,8 @@ from collections import deque
 
 from clanorbits import Clan, enumerate_clans, negate
 from clanorbits.clans import MINUS, PLUS, _check_length, mirror_doubles
-from clanorbits.closure import _move
-from clanorbits.errors import MalformedToken, NotGraded
+from clanorbits.closure import OrbitPoset, _move
+from clanorbits.errors import ConsistencyError, MalformedToken, NotGraded
 
 
 def reverse_rename(clan: Clan) -> Clan:
@@ -113,6 +116,39 @@ def queue_closure(dims_by_id, weak_edges) -> list[tuple]:
                 triples.append((x, w, None))
                 work.append((x, w))
     return triples
+
+
+def quotient_by_clans(poset: OrbitPoset, fold, level: str) -> OrbitPoset:
+    """The poset of `closure.quotient_poset`: each orbit's class named by
+    the lesser of it and its image, classes sorted by (dim, text), and the
+    covers folded as clan triples into a set before they are renumbered."""
+    if fold is None:
+        return poset
+    rep: dict[Clan, Clan] = {}
+    for c in poset.orbits:
+        image = fold(c)
+        if image not in poset.member_index:
+            raise ConsistencyError(f"fold image {image} left the orbit set")
+        if poset.dim_of(image) != poset.dim_of(c):
+            raise ConsistencyError("fold does not preserve dimension")
+        rep[c] = min(c, image)
+    members: dict[Clan, set[Clan]] = {}
+    for c, r in rep.items():
+        members.setdefault(r, set()).add(c)
+    reps = sorted(members, key=lambda c: (poset.dim_of(c), str(c)))
+    dims = [poset.dim_of(r) for r in reps]
+    covers = {
+        (rep[poset.orbits[lo]], rep[poset.orbits[hi]], root)
+        for lo, hi, root in poset.covers
+    }
+    ridx = {r: i for i, r in enumerate(reps)}
+    cover_ids = [(ridx[a], ridx[b], root) for a, b, root in covers]
+    meta = dict(poset.meta)
+    meta["level"] = level
+    folded = OrbitPoset(meta, reps, dims,
+                        cover_ids, [sorted(members[r]) for r in reps])
+    folded.validate()
+    return folded
 
 
 def parse_clan_by_symbols(text: str) -> Clan:

@@ -271,6 +271,46 @@ def test_cache_refuses_numbers_that_are_not_json_integers(tmp_path, field, value
         load_poset(path, family)
 
 
+@pytest.mark.parametrize("edit, error", [
+    ({"version": True, "p": True, "q": True}, VersionMismatch),
+    ({"version": 1.0}, VersionMismatch),
+    ({"p": True, "q": True}, CorruptCache),
+    ({"q": 1.0}, CorruptCache),
+], ids=["all true", "float version", "true p and q", "float q"])
+def test_cache_refuses_meta_of_another_json_type(tmp_path, capsys, edit, error):
+    """JSON `true` and `1.0` equal 1 in Python, but a version or a meta
+    value of another JSON type is not the family's: it is refused, not
+    loaded and printed back as `true`."""
+    family = FamilyA(1, 1)
+    path = save_poset(build_poset(family), tmp_path / cache_key(family.meta()))
+    data = json.loads(path.read_text())
+    assert (data["version"], data["p"], data["q"]) == (1, 1, 1)
+    path.write_text(json.dumps({**data, **edit}))
+    with pytest.raises(error):
+        load_poset(path, family)
+    code, out = run(capsys, "poset", "--format", "json", "--family", "a", "--p", "1", "--q", "1",
+                    "--cache-dir", str(tmp_path))
+    assert code == 2 and out == ""
+
+
+def test_cache_with_ids_that_do_not_rise_with_dimension_is_corrupt(tmp_path, capsys):
+    """A saved A(2,2) with its ids reversed, covers renumbered to match,
+    holds the same graded order, but its dimensions fall along the ids."""
+    family = FamilyA(2, 2)
+    path = save_poset(build_poset(family), tmp_path / cache_key(family.meta()))
+    data = json.loads(path.read_text())
+    last = len(data["orbits"]) - 1
+    data["orbits"].reverse()
+    data["dims"].reverse()
+    data["covers"] = [{**c, "lo": last - c["lo"], "hi": last - c["hi"]} for c in data["covers"]]
+    path.write_text(json.dumps(data))
+    with pytest.raises(CorruptCache, match="ids do not rise with dimension"):
+        load_poset(path, family)
+    code, out = run(capsys, "list", "--family", "a", "--p", "2", "--q", "2",
+                    "--cache-dir", str(tmp_path))
+    assert code == 2 and out == ""
+
+
 @pytest.mark.parametrize("edit", ["foreign root", "exact duplicate", "null beside a label"])
 def test_load_or_build_rejects_foreign_roots_and_repeated_pairs(tmp_path, edit):
     """A cover's root is one of the family's simple roots, and a pair

@@ -19,8 +19,10 @@ from clanorbits import (
 from clanorbits.cache import load_poset, save_poset
 from clanorbits.closure import OrbitPoset, _move, complete_closure
 from clanorbits.errors import ConsistencyError, InvalidRoot, NotGraded, RankTooLarge, UnknownOrbit
+from clanorbits.family import SIGN_FLIP_LEVELS
+from clanorbits.family_d import ISOGENY_LEVELS_D
 
-from clan_transforms import queue_closure, raise_by_walk, simple_move_a
+from clan_transforms import queue_closure, quotient_by_clans, raise_by_walk, simple_move_a
 
 P = parse_clan
 
@@ -224,6 +226,17 @@ def test_validate_rejects_broken_grading(poset_a22):
         ).validate()
 
 
+def test_validate_rejects_ids_that_do_not_rise_with_dimension(poset_a22):
+    """The same order with its ids reversed is graded and has one
+    maximum, but its dimensions fall along the ids."""
+    last = len(poset_a22) - 1
+    flipped = OrbitPoset(
+        poset_a22.meta, poset_a22.orbits[::-1], poset_a22.dims[::-1],
+        [(last - lo, last - hi, root) for lo, hi, root in poset_a22.covers])
+    with pytest.raises(ConsistencyError, match="ids do not rise with dimension"):
+        flipped.validate()
+
+
 def test_validate_rejects_two_maxima(poset_a22):
     from clanorbits.closure import OrbitPoset
 
@@ -292,6 +305,58 @@ def test_quotient_folds_covers(poset_a22):
     # the flip-fixed orbits are exactly the sign-free clans
     singles = {str(m[0]) for m in folded.members if len(m) == 1}
     assert singles == {"1,1,2,2", "1,2,1,2", "1,2,2,1"}
+
+
+def _folding(pairs: dict[str, str]):
+    """The fold that sends each clan of `pairs` to its value, and every
+    other clan to itself."""
+    table = {P(a): P(b) for a, b in pairs.items()}
+    return lambda clan: table.get(clan, clan)
+
+
+@pytest.mark.parametrize("pairs, message", [
+    ({"1,1,2,2": "+,+,+,+"}, "left the orbit set"),
+    ({"+,+,-,-": "1,1,2,2", "1,1,2,2": "+,+,-,-"}, "does not preserve dimension"),
+    ({"+,+,-,-": "+,-,+,-", "+,-,+,-": "+,-,-,+", "+,-,-,+": "+,+,-,-"}, "not an involution"),
+    ({"+,+,-,-": "+,-,+,-"}, "not an involution"),
+], ids=["image outside", "image at another dimension", "three-cycle", "two onto one"])
+def test_quotient_refuses_a_bad_fold(poset_a22, pairs, message):
+    """A fold image must be an orbit at the same dimension, and the fold an
+    involution: a three-cycle or two orbits sent to one make no classes."""
+    with pytest.raises(ConsistencyError, match=message):
+        quotient_poset(poset_a22, _folding(pairs), "adjoint")
+
+
+@pytest.mark.parametrize("family", ORACLE_FAMILIES, ids=repr)
+def test_quotient_matches_the_clan_keyed_fold(family):
+    """At every isogeny level the fold on ids gives the orbits, dims,
+    covers, members and meta of the clan-keyed quotient."""
+    base = build_poset(family)
+    for level in ISOGENY_LEVELS_D if family.name == "d" else SIGN_FLIP_LEVELS:
+        fold = family.isogeny_fold(level)
+        got, want = quotient_poset(base, fold, level), quotient_by_clans(base, fold, level)
+        assert got.orbits == want.orbits and got.dims == want.dims, level
+        assert got.covers == want.covers and got.members == want.members, level
+        assert got.meta == want.meta, level
+
+
+@pytest.mark.parametrize("family", [FamilyA(2, 2), FamilyC(2, 2), FamilyD(4)], ids=repr)
+def test_quotient_numbers_classes_by_text_within_a_rank(family):
+    """Ids need only rise with dimension: with each rank's ids reversed,
+    the fold still names and numbers its classes by (dim, text)."""
+    base = build_poset(family)
+    start = {d: base.dims.index(d) for d in set(base.dims)}
+    stop = {d: len(base.dims) - base.dims[::-1].index(d) for d in set(base.dims)}
+    new = [start[d] + stop[d] - 1 - i for i, d in enumerate(base.dims)]
+    order = sorted(range(len(base)), key=new.__getitem__)
+    shuffled = OrbitPoset(base.meta, [base.orbits[i] for i in order], base.dims,
+                          [(new[lo], new[hi], root) for lo, hi, root in base.covers])
+    shuffled.validate()
+    assert shuffled.orbits != base.orbits
+    fold = family.isogeny_fold("adjoint")
+    got, want = quotient_poset(shuffled, fold, "adjoint"), quotient_poset(base, fold, "adjoint")
+    assert (got.orbits, got.dims, got.covers, got.members) == (
+        want.orbits, want.dims, want.covers, want.members)
 
 
 # --------------------------------------------------------------- oracle

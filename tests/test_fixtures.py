@@ -3,7 +3,13 @@ from __future__ import annotations
 import pytest
 
 from clanorbits import expand_compressed, parse_clan
-from clanorbits.fixtures import FIGURES, compare_fixture, load_errata, load_fixture
+from clanorbits.fixtures import (
+    FIGURES,
+    compare_fixture,
+    load_errata,
+    load_fixture,
+    poset_for_fixture,
+)
 
 P = parse_clan
 
@@ -51,6 +57,15 @@ def test_errata_are_applied_not_silent():
 def test_every_figure_reproduced_exactly(fig):
     diffs = compare_fixture(load_fixture(fig))
     assert diffs == []
+
+
+@pytest.mark.parametrize("fig", FIGURES)
+def test_compare_a_given_poset_without_its_family(fig):
+    """With a poset and no family, the fixture's own family judges the
+    boxed vertices."""
+    fx = load_fixture(fig)
+    _, poset = poset_for_fixture(fx)
+    assert compare_fixture(fx, poset=poset) == []
 
 
 def test_fig4_vertices_expand_consistently():
