@@ -58,10 +58,6 @@ class ConsistencyError(RuntimeError):
     """
 
 
-class NeitherAntisymmetric(ConsistencyError):
-    """The middle-swap twist produced no antisymmetric candidate."""
-
-
 class NotGraded(ConsistencyError):
     """A cover edge violates the dimension-plus-one grading."""
 

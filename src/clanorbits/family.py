@@ -3,9 +3,11 @@
 `Family` is what `build_poset`, the Springer cross-validation, the CLI
 and the cache read of a family, with the code all three share: the root
 table (positive roots, noncompact test, Springer move), the checked
-raising move, classification, and the sign-flip isogeny folding of
-types A and C.  A family states only its data: its `root_signs`, the
-position pairs `_root_slots` of a root, its simple-root move `_raise`.
+raising move, classification, and the isogeny fold, which is the sign
+flip in all three types.  A family states only its data: its
+`root_signs`, the position pairs `_root_slots` of a root, its
+simple-root move `_raise`, its isogeny `levels` and the `fold_levels`
+among them.
 
 `MirrorFamily` is the machinery types C and D share: clans of length
 2n built by `clans.mirror_double` from their first half; the closed
@@ -171,15 +173,15 @@ class Family(Protocol):
             out.append((smooth, form))
         return out
 
+    levels: tuple[str, ...] = SIGN_FLIP_LEVELS  # the levels `isogeny_fold` accepts
+    fold_levels: tuple[str, ...]  # the levels whose orbits fold into sign-flip classes
+
     def isogeny_fold(self, level: str) -> Callable[[Clan], Clan] | None:
-        """None when orbits at the level match the simply connected ones;
-        for a signature (p, q) with p = q the adjoint level folds orbits
-        into sign-flip classes."""
-        if level not in SIGN_FLIP_LEVELS:
-            raise ClanError(f"family {self.name} levels are {SIGN_FLIP_LEVELS}, got {level!r}")
-        if level == "adjoint" and self.p == self.q:
-            return negate
-        return None
+        """`negate` where orbits at the level fold into sign-flip classes,
+        None where they match the simply connected ones."""
+        if level not in self.levels:
+            raise ClanError(f"family {self.name} levels are {self.levels}, got {level!r}")
+        return negate if level in self.fold_levels else None
 
 
 def middle_crossings(clan: Clan) -> int:

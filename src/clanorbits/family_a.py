@@ -43,6 +43,7 @@ class FamilyA(Family):
         self.n = p + q
         self.clan_length = self.n
         self.d_K = (p * (p - 1) + q * (q - 1)) // 2
+        self.fold_levels = ("adjoint",) if p == q else ()
 
     def meta(self) -> dict:
         return {"family": "a", "p": self.p, "q": self.q}

@@ -110,6 +110,7 @@ class FamilyC(MirrorFamily):
         self.clan_length = 2 * self.n
         self.d_K = p * p + q * q
         self.closed_plus = (p,)
+        self.fold_levels = ("adjoint",) if p == q else ()
 
     def meta(self) -> dict:
         return {"family": "c", "p": self.p, "q": self.q}

@@ -12,11 +12,12 @@ of the two middle positions, apply the two lifted moves of root n-1,
 and conjugate back; no extra sign change.  Dimension is
 d(K) + (l - middle crossings)/2 with d(K) = n(n-1)/2.
 
-The outer involution `tau` swaps the middle positions and flips all
-signs, renormalizing to the antisymmetric representative; it realizes
-the diagram flip of rank-n closure diagrams.  Orbit sets at the four
-isogeny levels (simply connected, SO, the primed SO quotient, adjoint)
-coincide or fold by tau exactly as `FamilyD.isogeny_fold` encodes.
+The outer involution `tau` flips all signs, after swapping the middle
+positions when n is odd; it realizes the diagram flip of rank-n
+closure diagrams.  Orbit sets at the four isogeny levels (simply
+connected, SO, the primed SO quotient, adjoint) coincide or, for even
+n, fold into sign-flip classes, as in types A and C: at the adjoint
+level, and at the primed SO quotient when n/2 is odd (`fold_levels`).
 
 A closure is smooth iff the clan avoids the bad patterns or carries an
 exceptional fiber-bundle form (`fiber_form`): a pattern-avoiding flank
@@ -51,7 +52,7 @@ from .clans import (
     negate,
 )
 from .closure import _swap, lifted_double_move
-from .errors import ClanError, NeitherAntisymmetric, NotAntisymmetric
+from .errors import ClanError, NotAntisymmetric
 from .family import MirrorFamily, crossed_open
 
 ISOGENY_LEVELS_D = ("sc", "so", "so-prime", "adjoint")
@@ -180,6 +181,7 @@ def fiber_form_d(clan: Clan) -> FiberFormD | None:
 class FamilyD(MirrorFamily):
     name = "d"
     opposite = True
+    levels = ISOGENY_LEVELS_D
 
     def __init__(self, n: int, convention: str = "paper"):
         if n < 1:
@@ -193,6 +195,8 @@ class FamilyD(MirrorFamily):
         #: plus signs plus whole pairs of the first half, mod 2
         self.parity = 0 if convention == "paper" else n % 2
         self.closed_plus = range(self.parity, n + 1, 2)
+        # even n folds at adjoint, and at so-prime too when n/2 is odd
+        self.fold_levels = () if n % 2 else ("so-prime", "adjoint") if n % 4 else ("adjoint",)
 
     def meta(self) -> dict:
         return {"family": "d", "n": self.n, "convention": self.convention}
@@ -238,32 +242,18 @@ class FamilyD(MirrorFamily):
         return base
 
     def tau(self, clan: Clan) -> Clan:
-        """Swap the middle positions and flip all signs, then take the
-        unique antisymmetric member of the result and its middle swap."""
+        """The outer twist: flip every sign, after the middle swap when the
+        rank is odd.  The first half holds n entries, and the pair ends
+        among them come two at a time (a closed pair, or a crossing pair
+        with its mirror), so its signs number n mod 2 and the flip moves
+        the half parity by n.  The middle swap moves it by exactly one
+        (a sign changes, or a pair turns from closed to crossing or back),
+        so the image keeps the parity class at either rank."""
         self._check(clan)
         n = self.n
-        swapped = Clan(_swap(clan.code, n - 1, n))
-        candidates = [negate(swapped), negate(clan)]
-        picks = [c for c in candidates if is_antisymmetric(c, self.convention)]
-        if len(picks) != 1:
-            raise NeitherAntisymmetric(
-                f"twist of {clan} produced {len(picks)} antisymmetric candidates"
-            )
-        return picks[0]
+        return negate(Clan(_swap(clan.code, n - 1, n)) if n % 2 else clan)
 
     _fiber_form = staticmethod(fiber_form_d)
-
-    def isogeny_fold(self, level: str):
-        """None when orbits at the level match the simply connected ones;
-        `tau` when they fold into twist classes."""
-        if level not in ISOGENY_LEVELS_D:
-            raise ClanError(f"family d levels are {ISOGENY_LEVELS_D}, got {level!r}")
-        if self.n % 2 == 1 or level in ("sc", "so"):
-            return None
-        m = self.n // 2
-        if level == "so-prime" and m % 2 == 0:
-            return None
-        return self.tau
 
 
 # Compressed 4-symbol notation for rank-4 clans: the first half, with

@@ -3,6 +3,8 @@ from __future__ import annotations
 import pytest
 
 from clanorbits import (
+    FamilyA,
+    FamilyC,
     FamilyD,
     build_poset,
     compress,
@@ -111,6 +113,30 @@ def test_tau_examples(poset_d4):
     # tau maps covers to covers (order automorphism)
     pairs = {(poset_d4.orbits[lo], poset_d4.orbits[hi]) for lo, hi, _ in poset_d4.covers}
     assert {(fd.tau(a), fd.tau(b)) for a, b in pairs} == pairs
+
+
+def test_tau_is_the_sign_flip_at_even_rank():
+    for n in (2, 4, 6):
+        for convention in ("paper", "figure"):
+            fd = FamilyD(n, convention)
+            for c in fd.enumerate():
+                assert fd.tau(c) == negate(c)
+
+
+def test_every_fold_is_the_sign_flip():
+    folded = 0
+    for family in (FamilyA(2, 2), FamilyA(3, 2), FamilyC(2, 2), FamilyC(2, 1),
+                   *(FamilyD(n, convention) for n in range(1, 9)
+                     for convention in ("paper", "figure"))):
+        for level in family.levels:
+            fold = family.isogeny_fold(level)
+            if level in family.fold_levels:
+                assert fold is negate
+                folded += 1
+            else:
+                assert fold is None
+    # A(2,2) and C(2,2) at adjoint; D(2), D(6) at two levels, D(4), D(8) at one
+    assert folded == 2 + 2 * (2 + 2 + 1 + 1)
 
 
 def test_fiber_form_witnesses():

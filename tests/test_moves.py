@@ -200,12 +200,17 @@ def _negate_symbols(sym: tuple) -> tuple:
 
 
 def test_tau_matches_the_oracle():
-    for family in (FamilyD(4), FamilyD(4, "figure"), FamilyD(6)):
+    # exactly one of the two candidates is antisymmetric, so membership
+    # pins which one `tau` picks at each rank parity
+    for family in (FamilyD(3), FamilyD(4), FamilyD(4, "figure"), FamilyD(5),
+                   FamilyD(5, "figure"), FamilyD(6)):
         n = family.n
         for clan in family.enumerate():
             swapped = _canonicalize(_swap_symbols(clan.symbols, n - 1, n))
             candidates = {_negate_symbols(swapped), _negate_symbols(clan.symbols)}
-            assert family.tau(clan).symbols in candidates
+            twisted = family.tau(clan)
+            assert twisted.symbols in candidates
+            assert family.contains(twisted)
 
 
 def _oracle_raising_moves(clan: Clan) -> set[tuple]:
