@@ -1,30 +1,32 @@
 """Versioned JSON cache for computed orbit posets.
 
 The on-disk schema is {version, family, p/q or n, convention, orbits,
-dims, covers}; orbits are canonical clan strings and covers carry their
-1-based root label or null for completion edges.  The file is
-`json.dumps(poset_to_dict(poset), sort_keys=True)`, byte for byte, but
-`save_poset` writes the covers as text, one format per cover, and puts
-only the small fields through `json.dumps`.  Loading decodes each clan
-with `parse_clan`, sorts the covers (one comparison each, since the file
-lists them in canonical order) and validates the schema and the poset
-(dims and cover ids JSON integers, cover ids in range, root labels
-among the family's simple roots, one cover per pair unless the labels
-differ, grading, ids rising with dimension, one open orbit, all-sign
-minima); it builds no reachability, which the poset computes when a
-query first needs it.  `load_or_build` checks the version and the family
-(in value and JSON type), and the orbit count against the cap
-and the family's closed-form count, on the raw dict before it decodes a
-clan or a cover; a failed check raises rather than returning a bad poset.
+dims, covers}: orbits are canonical clan strings, and covers are the
+parallel columns {"lo", "hi", "root"}, a root being the 1-based label of
+a weak-order edge or null for a completion edge.  `poset_to_dict` is the
+one serializer: the file is `json.dumps(poset_to_dict(poset),
+sort_keys=True)`, and `poset --format json` prints the same dict.
+`CACHE_VERSION` versions what a file means, its schema and the algorithm
+that computed its order: bump it when either changes.  A file of another
+version is a `VersionMismatch`, not rebuilt silently.  Loading decodes
+each clan with `parse_clan`, zips the columns into cover triples, sorts
+them (one comparison each, as the file lists them in canonical order)
+and validates the schema and the poset (dims and cover ids JSON
+integers, cover ids in range, root labels among the family's simple
+roots, one cover per pair unless the labels differ, grading, ids rising
+with dimension, one open orbit, all-sign minima); it builds no
+reachability, which the poset computes when a query first needs it.
+`load_or_build` checks the version and the family (in value and JSON
+type), and the orbit count against the cap and the family's closed-form
+count, on the raw dict before it decodes a clan or a cover; a failed
+check raises rather than returning a bad poset.
 """
 
 from __future__ import annotations
 
 import json
-import operator
 import os
 import tempfile
-from itertools import starmap
 from pathlib import Path
 from typing import Container
 
@@ -33,36 +35,34 @@ from .closure import OrbitPoset, build_poset
 from .errors import CorruptCache, RankTooLarge, VersionMismatch
 from .family import Family
 
-CACHE_VERSION = 1
-#: one cover as `json.dumps(..., sort_keys=True)` writes its dict, from (lo, hi, root)
-_COVER_TEXT = '{{"hi": {1}, "lo": {0}, "root": {2}}}'
-_cover = operator.itemgetter("lo", "hi", "root")
+CACHE_VERSION = 2
 
 
-def _fields(poset: OrbitPoset) -> dict:
-    """Every field of the cache dict but the covers."""
+def poset_to_dict(poset: OrbitPoset) -> dict:
+    """The cache dict, its covers as the columns lo, hi and root."""
+    covers = poset.covers
     return {
         "version": CACHE_VERSION,
         **poset.meta,
         "orbits": [str(c) for c in poset.orbits],
         "dims": list(poset.dims),
+        "covers": {
+            "lo": [c[0] for c in covers],
+            "hi": [c[1] for c in covers],
+            "root": [c[2] for c in covers],
+        },
     }
 
 
-def poset_to_dict(poset: OrbitPoset) -> dict:
-    return {
-        **_fields(poset),
-        "covers": [{"lo": lo, "hi": hi, "root": root} for lo, hi, root in poset.covers],
-    }
-
-
-def _meta(data) -> dict:
-    """The meta fields of a cache dict whose version is checked."""
+def _meta(data, path: str | Path | None = None) -> dict:
+    """The meta fields of a cache dict whose version is checked; a file
+    of another version is named, with what to do about it."""
     if not isinstance(data, dict):
         raise CorruptCache(f"cache holds a {type(data).__name__}, not an object")
     version = data.get("version")
     if type(version) is not int or version != CACHE_VERSION:
-        raise VersionMismatch(f"cache version {version}, expected {CACHE_VERSION}")
+        raise VersionMismatch(f"cache version {version}, expected {CACHE_VERSION}" + (
+            "" if path is None else f": delete {path} to rebuild the poset"))
     return {k: v for k, v in data.items() if k not in ("version", "orbits", "dims", "covers")}
 
 
@@ -75,7 +75,8 @@ def poset_from_dict(data: dict, roots: Container[int] | None = None) -> OrbitPos
         dims = list(data["dims"])
         if any(type(d) is not int for d in dims):  # a JSON integer, not a bool
             raise ValueError("a dim is not an integer")
-        covers = list(map(_cover, data["covers"]))
+        columns = data["covers"]
+        covers = list(zip(columns["lo"], columns["hi"], columns["root"], strict=True))
         if len(orbits) != len(dims):
             raise ValueError("orbit list malformed")
         poset = OrbitPoset(meta, orbits, dims, covers)
@@ -98,22 +99,16 @@ def cache_key(meta: dict) -> str:
 
 
 def save_poset(poset: OrbitPoset, path: str | Path) -> Path:
-    """Write through a temp file in the same directory and rename it into
-    place, so a concurrent reader sees the old file or the new, never part.
-    The covers go in as `_COVER_TEXT`, whose roots are ints or None (as
-    `validate` requires), so the bytes are those of `json.dumps` on
-    `poset_to_dict` without a dict per cover."""
+    """Write `json.dumps(poset_to_dict(poset), sort_keys=True)` through a
+    temp file in the same directory and rename it into place, so a
+    concurrent reader sees the old file or the new, never part."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    head, tail = json.dumps({**_fields(poset), "covers": []}, sort_keys=True).split('"covers": []')
-    # the cover text holds digits and fixed keys only, so "None" is a null root
-    covers = ", ".join(starmap(_COVER_TEXT.format, poset.covers)).replace("None", "null")
+    text = json.dumps(poset_to_dict(poset), sort_keys=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(f'{head}"covers": [')
-            fh.write(covers)
-            fh.write(f"]{tail}")
+            fh.write(text)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -131,9 +126,9 @@ def load_poset(path: str | Path, family: Family | None = None,
         data = json.loads(Path(path).read_text())
     except (OSError, ValueError) as exc:  # ValueError: bad JSON or bad UTF-8
         raise CorruptCache(f"unreadable cache file {path}: {exc}") from exc
+    meta = _meta(data, path)
     if family is None:
         return poset_from_dict(data)
-    meta = _meta(data)
     # compared as JSON text, so a `true` or `1.0` in the file is not the family's `1`
     if json.dumps(meta, sort_keys=True) != json.dumps(family.meta(), sort_keys=True):
         raise CorruptCache(f"{path} holds the poset of {meta}, not {family.meta()}")

@@ -9,6 +9,7 @@ import pytest
 
 from clanorbits import FamilyA, FamilyC, FamilyD, build_poset, parse_clan as P
 from clanorbits.cache import (
+    CACHE_VERSION,
     cache_key,
     load_or_build,
     load_poset,
@@ -27,6 +28,17 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+def cover_rows(data: dict) -> list[tuple]:
+    """A cache dict's covers, read off its columns as (lo, hi, root) rows."""
+    columns = data["covers"]
+    return list(zip(columns["lo"], columns["hi"], columns["root"], strict=True))
+
+
+def set_cover_rows(data: dict, rows: list[tuple]) -> None:
+    """Write (lo, hi, root) rows back into a cache dict as its columns."""
+    data["covers"] = {key: [row[k] for row in rows] for k, key in enumerate(("lo", "hi", "root"))}
 
 
 def test_list_u22(capsys):
@@ -218,6 +230,60 @@ def test_cache_rejects_bad_version(tmp_path, poset_a22):
         poset_from_dict(data)
 
 
+def test_cache_of_version_1_is_refused(tmp_path, capsys, poset_a22):
+    """A file in the layout of version 1, a dict per cover, is refused and
+    named, not rebuilt behind the user's back."""
+    data = poset_to_dict(poset_a22)
+    data["version"] = 1
+    data["covers"] = [{"lo": lo, "hi": hi, "root": root} for lo, hi, root in poset_a22.covers]
+    path = tmp_path / cache_key(poset_a22.meta)
+    path.write_text(json.dumps(data, sort_keys=True))
+    with pytest.raises(VersionMismatch, match="delete .* to rebuild"):
+        load_poset(path)
+    with pytest.raises(VersionMismatch):
+        load_poset(path, FamilyA(2, 2))
+    argv = ["list", "--family", "a", "--p", "2", "--q", "2", "--cache-dir", str(tmp_path)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and str(path) in captured.err
+    assert json.loads(path.read_text()) == data  # left in place
+
+
+@pytest.mark.parametrize("edit", ["short lo", "short root", "list of covers", "no root"])
+def test_cache_with_malformed_cover_columns_is_corrupt(poset_a22, edit):
+    """The covers are three columns of one length: a short column, a
+    missing one, or a list of covers under version 2 is a `CorruptCache`."""
+    data = poset_to_dict(poset_a22)
+    assert len(poset_from_dict(data).covers) == len(poset_a22.covers)
+    if edit == "short lo":
+        data["covers"]["lo"].pop()
+    elif edit == "short root":
+        data["covers"]["root"].pop()
+    elif edit == "list of covers":
+        data["covers"] = [list(row) for row in cover_rows(data)]
+    else:
+        del data["covers"]["root"]
+    with pytest.raises(CorruptCache):
+        poset_from_dict(data)
+
+
+@pytest.mark.parametrize("family, flags", [
+    (FamilyA(2, 2), "--family a --p 2 --q 2 --isogeny sc"),
+    (FamilyC(2, 2), "--family c --p 2 --q 2 --isogeny adjoint"),
+    (FamilyD(4), "--family d --n 4 --isogeny so-prime"),
+], ids=repr)
+def test_poset_json_is_the_cache_dict(capsys, family, flags):
+    """`poset --format json` prints the dict the cache stores, so it loads
+    back as the poset it shows."""
+    code, out = run(capsys, "poset", "--format", "json", *flags.split())
+    level = flags.split()[-1]
+    view = quotient_poset(build_poset(family), family.isogeny_fold(level), level)
+    loaded = poset_from_dict(json.loads(out))
+    assert code == 0
+    assert (loaded.orbits, loaded.dims, loaded.covers) == (view.orbits, view.dims, view.covers)
+    assert loaded.meta == view.meta
+
+
 def test_cache_rejects_corruption(tmp_path, poset_a22):
     data = poset_to_dict(poset_a22)
     data["dims"] = data["dims"][:-1]
@@ -239,9 +305,9 @@ def test_cache_rejects_covers_out_of_range(field, value):
     """Cover ids must be orbit ids, never read back by negative indexing,
     and root labels None or positive ints."""
     data = poset_to_dict(build_poset(FamilyA(2, 1)))
-    assert data["covers"][-1] == {"lo": 4, "hi": 5, "root": 2} and len(data["orbits"]) == 6
+    assert cover_rows(data)[-1] == (4, 5, 2) and len(data["orbits"]) == 6
     assert len(poset_from_dict(data).covers) == 6
-    data["covers"][-1][field] = value
+    data["covers"][field][-1] = value
     with pytest.raises(CorruptCache):
         poset_from_dict(data)
 
@@ -251,21 +317,21 @@ def test_cache_rejects_covers_out_of_range(field, value):
     ("lo", True), ("hi", True),
 ], ids=["float dims", "string dims", "bool dims", "bool lo", "bool hi"])
 def test_cache_refuses_numbers_that_are_not_json_integers(tmp_path, field, value):
-    """A dim or a cover id must be a JSON integer: a float, a string or a
-    bool is refused, not rounded or read as 0 or 1 (a bool id would be
-    written back as `True`, which is not JSON)."""
+    """A dim or a cover id in its column must be a JSON integer: a float,
+    a string or a bool is refused, not rounded or read as 0 or 1 (a bool
+    id would be printed back as `true`)."""
     family = FamilyA(1, 1)  # +,- and -,+ below 1,1
     path = save_poset(build_poset(family), tmp_path / cache_key(family.meta()))
     data = json.loads(path.read_text())
     assert data["dims"] == [0, 0, 1]
-    assert data["covers"] == [{"hi": 2, "lo": 0, "root": 1}, {"hi": 2, "lo": 1, "root": 1}]
+    assert data["covers"] == {"lo": [0, 1], "hi": [2, 2], "root": [1, 1]}
     if field == "dims":
         data["dims"] = value
     elif field == "lo":
-        data["covers"][1]["lo"] = value  # lo 1 read as True
+        data["covers"]["lo"][1] = value  # lo 1 read as True
     else:
         data["dims"] = [0, 1, 2]  # the chain +,- < -,+ < 1,1: its first cover ends at 1
-        data["covers"][0]["hi"] = value
+        data["covers"]["hi"][0] = value
     path.write_text(json.dumps(data))
     with pytest.raises(CorruptCache):
         load_poset(path, family)
@@ -273,18 +339,18 @@ def test_cache_refuses_numbers_that_are_not_json_integers(tmp_path, field, value
 
 @pytest.mark.parametrize("edit, error", [
     ({"version": True, "p": True, "q": True}, VersionMismatch),
-    ({"version": 1.0}, VersionMismatch),
+    ({"version": float(CACHE_VERSION)}, VersionMismatch),
     ({"p": True, "q": True}, CorruptCache),
     ({"q": 1.0}, CorruptCache),
 ], ids=["all true", "float version", "true p and q", "float q"])
 def test_cache_refuses_meta_of_another_json_type(tmp_path, capsys, edit, error):
-    """JSON `true` and `1.0` equal 1 in Python, but a version or a meta
-    value of another JSON type is not the family's: it is refused, not
-    loaded and printed back as `true`."""
+    """JSON `true` and `1.0` equal 1 in Python, and `2.0` equals the
+    version 2, but a version or a meta value of another JSON type is not
+    the family's: it is refused, not loaded and printed back as `true`."""
     family = FamilyA(1, 1)
     path = save_poset(build_poset(family), tmp_path / cache_key(family.meta()))
     data = json.loads(path.read_text())
-    assert (data["version"], data["p"], data["q"]) == (1, 1, 1)
+    assert (data["version"], data["p"], data["q"]) == (CACHE_VERSION, 1, 1)
     path.write_text(json.dumps({**data, **edit}))
     with pytest.raises(error):
         load_poset(path, family)
@@ -302,7 +368,7 @@ def test_cache_with_ids_that_do_not_rise_with_dimension_is_corrupt(tmp_path, cap
     last = len(data["orbits"]) - 1
     data["orbits"].reverse()
     data["dims"].reverse()
-    data["covers"] = [{**c, "lo": last - c["lo"], "hi": last - c["hi"]} for c in data["covers"]]
+    set_cover_rows(data, [(last - lo, last - hi, root) for lo, hi, root in cover_rows(data)])
     path.write_text(json.dumps(data))
     with pytest.raises(CorruptCache, match="ids do not rise with dimension"):
         load_poset(path, family)
@@ -319,14 +385,14 @@ def test_load_or_build_rejects_foreign_roots_and_repeated_pairs(tmp_path, edit):
     family = FamilyA(2, 1)  # simple roots 1 and 2
     path = save_poset(build_poset(family), tmp_path / cache_key(family.meta()))
     data = json.loads(path.read_text())
-    assert data["covers"][0] == {"lo": 0, "hi": 3, "root": 2}
+    assert cover_rows(data)[0] == (0, 3, 2)
     assert len(load_or_build(family, tmp_path).covers) == 6
     if edit == "foreign root":
-        data["covers"][0]["root"] = 99
+        data["covers"]["root"][0] = 99
     elif edit == "exact duplicate":
-        data["covers"].append({"lo": 0, "hi": 3, "root": 2})
+        set_cover_rows(data, cover_rows(data) + [(0, 3, 2)])
     else:
-        data["covers"].append({"lo": 0, "hi": 3, "root": None})
+        set_cover_rows(data, cover_rows(data) + [(0, 3, None)])
     path.write_text(json.dumps(data))
     with pytest.raises(CorruptCache):
         load_or_build(family, tmp_path)
@@ -376,10 +442,10 @@ def test_cache_with_an_orbit_missing_is_corrupt(tmp_path, capsys):
     data = json.loads(path.read_text())
     gone = data["orbits"].index("+,+,-,-")
     del data["orbits"][gone], data["dims"][gone]
-    data["covers"] = [
-        {"lo": c["lo"] - (c["lo"] > gone), "hi": c["hi"] - (c["hi"] > gone), "root": c["root"]}
-        for c in data["covers"] if gone not in (c["lo"], c["hi"])
-    ]
+    set_cover_rows(data, [
+        (lo - (lo > gone), hi - (hi > gone), root)
+        for lo, hi, root in cover_rows(data) if gone not in (lo, hi)
+    ])
     path.write_text(json.dumps(data))
     assert len(load_poset(path)) == 20
     with pytest.raises(CorruptCache, match="holds 20 orbits, the family has 21"):
@@ -399,13 +465,13 @@ def test_cache_rejects_another_familys_poset(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("family, digest", [
-    (FamilyA(3, 3), "75a73d685d801600ecb88af130746540e72974d9582c58b0e42151aeafb5e9de"),
-    (FamilyC(2, 2), "817a6b9a1bc7be25c5e4c6d605fc0483e5cbaedb6217bf13f76d7b68b3c26a1f"),
-    (FamilyD(4), "42aa91dd22f2c15887337275f49b2324270dcd1f9e27a48c2cf5412402cf3271"),
+    (FamilyA(3, 3), "9bd1326de7ebbcf74b34822bb5de61ab9783d6e8b652d4e342841c3e51b3b9d5"),
+    (FamilyC(2, 2), "d3483606bcb936da8f22d3f0efc9f7e2ff56d57dd11c5c360358b2ab55f4ba09"),
+    (FamilyD(4), "4581516e51c49dc0b52f70678eba91d1c3949a4a64a3f885a4cf3aff3b9e96ca"),
 ], ids=repr)
 def test_cache_file_bytes_are_pinned(tmp_path, family, digest):
-    """The saved JSON is byte for byte the file written while clans were
-    stored as labelled symbols, so caches of either storage load alike."""
+    """The saved JSON of cache version 2, covers as columns, is pinned
+    byte for byte: a change to the bytes must change `CACHE_VERSION`."""
     path = save_poset(build_poset(family), tmp_path / cache_key(family.meta()))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
@@ -420,8 +486,8 @@ WRITER_FAMILIES = (
 
 @pytest.mark.parametrize("family", WRITER_FAMILIES, ids=repr)
 def test_save_writes_the_bytes_of_json_dumps(tmp_path, family):
-    """The covers written as text give the file `json.dumps` writes for
-    the whole dict, at every isogeny level, so the `level` and
+    """The saved file is the text `json.dumps` writes for the whole dict
+    of `poset_to_dict`, at every isogeny level, so the `level` and
     `convention` keys sit in their sorted places."""
     levels = ISOGENY_LEVELS_D if family.name == "d" else SIGN_FLIP_LEVELS
     base = build_poset(family)
@@ -439,10 +505,12 @@ def test_covers_out_of_order_load_sorted(tmp_path, order):
     built = build_poset(family)
     path = save_poset(built, tmp_path / cache_key(family.meta()))
     data = json.loads(path.read_text())
+    rows = cover_rows(data)  # the columns shuffled jointly, row by row
     if order == "reversed":
-        data["covers"].reverse()
+        rows.reverse()
     else:
-        random.Random(15).shuffle(data["covers"])
+        random.Random(15).shuffle(rows)
+    set_cover_rows(data, rows)
     path.write_text(json.dumps(data))
     assert load_or_build(family, tmp_path).covers == built.covers
 

@@ -20,7 +20,7 @@ DIGESTS = {
     "poset --family a --p 2 --q 2 --isogeny sc":
         "89782cff212ca8d3a428942db0cd864e655e3e8f29869dc7df17aa6471ab6ce8",
     "poset --format json --family a --p 2 --q 2 --isogeny sc":
-        "c800052f02962a056d3ae3f32626eb186520ce3398fc862817e5e3bcb01f360c",
+        "0b442946f2612d2fa6d5e61ab8ba05c2654acb26860320f21036439cef93e205",
     "verify springer --family a --p 2 --q 2 --isogeny sc":
         "2335d2ebe0a1e6db9f15d6901932c1ced763f0aa2f24dd9c7d74ec2a8e40a76c",
     "verify oracle --family a --p 2 --q 2 --isogeny sc":
@@ -32,7 +32,7 @@ DIGESTS = {
     "poset --family a --p 2 --q 2 --isogeny adjoint":
         "765f4f1090701e751aed47ebb28f8eeb3dcccb055731eb9119445d3042cf3b83",
     "poset --format json --family a --p 2 --q 2 --isogeny adjoint":
-        "e46166c28e6103a94a828068f988500edd6bb6aa6e466f7ffd84179748b4673e",
+        "a0bc3e7f82a68a15a859fc9d6253f8f348254ffbaac03aae8db7c651600ce843",
     "verify springer --family a --p 2 --q 2 --isogeny adjoint":
         "431e9467de4af63be35b70dff5aaed577d1f961ac1acdd7bb34600a643d168f6",
     "verify oracle --family a --p 2 --q 2 --isogeny adjoint":
@@ -44,7 +44,7 @@ DIGESTS = {
     "poset --family c --p 2 --q 2 --isogeny sc":
         "7219334751e6b8621d853e3b6ffbafcc8e6f1af45e737e0233ceac373f8f99b7",
     "poset --format json --family c --p 2 --q 2 --isogeny sc":
-        "fdf5cd18ea6272b077d38a59d24ffaf3fde647b45924465d1ebbfe6d217a2315",
+        "5f0203d3e5249ffbc39d7790a427d8c81b924ec5ff3540075c05d4bd5f415237",
     "verify springer --family c --p 2 --q 2 --isogeny sc":
         "3f3f0f2a6b35991f289b87a90869cdb4094093d2c1d41b81bdf7e427cb2e2c8e",
     "list --family c --p 2 --q 2 --isogeny adjoint":
@@ -54,7 +54,7 @@ DIGESTS = {
     "poset --family c --p 2 --q 2 --isogeny adjoint":
         "b9fc8be6ebf63816608f3d9028b590533bbdb53cea90c70a9fdfb01def53b574",
     "poset --format json --family c --p 2 --q 2 --isogeny adjoint":
-        "a4c551de98767ca60a7a7aff94ca4e042d89a1099f0b7b418362b986b43f2909",
+        "d2eb5f59e363fc3b3eaa84ce3ac9bfb69aeebfdbd10301e007df333f8f72eb41",
     "verify springer --family c --p 2 --q 2 --isogeny adjoint":
         "f4b1f15614e1ef8435c4d2df4be48d7caee5504bc01583acfb518880bfd97467",
     "list --family d --n 4 --isogeny sc":
@@ -64,7 +64,7 @@ DIGESTS = {
     "poset --family d --n 4 --isogeny sc":
         "2c4d31018afc276348c139f5fa96030f65a9de1e64b5d3ae507f13bddc29ee1a",
     "poset --format json --family d --n 4 --isogeny sc":
-        "5617c1e8fc659dd7263eeb4c171e30c50e5168b466bc82a0665111d491b7b051",
+        "1686abf1a0d179d091d1dc918f85dea7d5b3ecbc9bb564ad25a283d5076a17c4",
     "verify springer --family d --n 4 --isogeny sc":
         "bc43caace43791749be2017d9f576925a0ec4b99967d54af4652298d2fe29198",
     "list --family d --n 4 --isogeny so":
@@ -74,7 +74,7 @@ DIGESTS = {
     "poset --family d --n 4 --isogeny so":
         "2c4d31018afc276348c139f5fa96030f65a9de1e64b5d3ae507f13bddc29ee1a",
     "poset --format json --family d --n 4 --isogeny so":
-        "5617c1e8fc659dd7263eeb4c171e30c50e5168b466bc82a0665111d491b7b051",
+        "1686abf1a0d179d091d1dc918f85dea7d5b3ecbc9bb564ad25a283d5076a17c4",
     "verify springer --family d --n 4 --isogeny so":
         "bc43caace43791749be2017d9f576925a0ec4b99967d54af4652298d2fe29198",
     "list --family d --n 4 --isogeny so-prime":
@@ -84,7 +84,7 @@ DIGESTS = {
     "poset --family d --n 4 --isogeny so-prime":
         "2c4d31018afc276348c139f5fa96030f65a9de1e64b5d3ae507f13bddc29ee1a",
     "poset --format json --family d --n 4 --isogeny so-prime":
-        "5617c1e8fc659dd7263eeb4c171e30c50e5168b466bc82a0665111d491b7b051",
+        "1686abf1a0d179d091d1dc918f85dea7d5b3ecbc9bb564ad25a283d5076a17c4",
     "verify springer --family d --n 4 --isogeny so-prime":
         "bc43caace43791749be2017d9f576925a0ec4b99967d54af4652298d2fe29198",
     "list --family d --n 4 --isogeny adjoint":
@@ -94,7 +94,7 @@ DIGESTS = {
     "poset --family d --n 4 --isogeny adjoint":
         "8b7b23b56858e06e039e8e6c39b931f767b3b244d599b2061fbe25ff08920fd7",
     "poset --format json --family d --n 4 --isogeny adjoint":
-        "c85e220c60649f1779a11a6e754e91830bbc851ffb485827b74506f9d0c56039",
+        "05d1731015f22004c56a7f088589d80ddd3e86e29a454c74c7ff3990b6328854",
     "verify springer --family d --n 4 --isogeny adjoint":
         "12a08c0423dc69c48a91d6aba67502a928269a562959da0937384387ccbab867",
     "list --family d --n 5 --convention figure --isogeny sc":
@@ -104,7 +104,7 @@ DIGESTS = {
     "poset --family d --n 5 --convention figure --isogeny sc":
         "dc315f9fb12f8e030bd032d5f815ebab88971ad737ab604bec35e608b006e991",
     "poset --format json --family d --n 5 --convention figure --isogeny sc":
-        "a2fc157d8cbb3b72464dd7e7837e2d70ee48fd0f83592b2604156074dd8a58cf",
+        "9be78f78fcfbb4c180839844126dfd4d82954531088b110ef6d92fadc99d2631",
     "verify springer --family d --n 5 --convention figure --isogeny sc":
         "e0f4417b3b890969b20e0338232bb1e1167ba5fab737cb4c2f94a7eccf8433dd",
     "list --family d --n 5 --convention figure --isogeny so":
@@ -114,7 +114,7 @@ DIGESTS = {
     "poset --family d --n 5 --convention figure --isogeny so":
         "dc315f9fb12f8e030bd032d5f815ebab88971ad737ab604bec35e608b006e991",
     "poset --format json --family d --n 5 --convention figure --isogeny so":
-        "a2fc157d8cbb3b72464dd7e7837e2d70ee48fd0f83592b2604156074dd8a58cf",
+        "9be78f78fcfbb4c180839844126dfd4d82954531088b110ef6d92fadc99d2631",
     "verify springer --family d --n 5 --convention figure --isogeny so":
         "e0f4417b3b890969b20e0338232bb1e1167ba5fab737cb4c2f94a7eccf8433dd",
     "list --family d --n 5 --convention figure --isogeny so-prime":
@@ -124,7 +124,7 @@ DIGESTS = {
     "poset --family d --n 5 --convention figure --isogeny so-prime":
         "dc315f9fb12f8e030bd032d5f815ebab88971ad737ab604bec35e608b006e991",
     "poset --format json --family d --n 5 --convention figure --isogeny so-prime":
-        "a2fc157d8cbb3b72464dd7e7837e2d70ee48fd0f83592b2604156074dd8a58cf",
+        "9be78f78fcfbb4c180839844126dfd4d82954531088b110ef6d92fadc99d2631",
     "verify springer --family d --n 5 --convention figure --isogeny so-prime":
         "e0f4417b3b890969b20e0338232bb1e1167ba5fab737cb4c2f94a7eccf8433dd",
     "list --family d --n 5 --convention figure --isogeny adjoint":
@@ -134,7 +134,7 @@ DIGESTS = {
     "poset --family d --n 5 --convention figure --isogeny adjoint":
         "dc315f9fb12f8e030bd032d5f815ebab88971ad737ab604bec35e608b006e991",
     "poset --format json --family d --n 5 --convention figure --isogeny adjoint":
-        "a2fc157d8cbb3b72464dd7e7837e2d70ee48fd0f83592b2604156074dd8a58cf",
+        "9be78f78fcfbb4c180839844126dfd4d82954531088b110ef6d92fadc99d2631",
     "verify springer --family d --n 5 --convention figure --isogeny adjoint":
         "e0f4417b3b890969b20e0338232bb1e1167ba5fab737cb4c2f94a7eccf8433dd",
 }
