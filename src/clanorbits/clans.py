@@ -459,20 +459,28 @@ def cuts(code: tuple) -> Iterator[int]:
     yield len(code)
 
 
+#: the sign a mirror position must carry, by sign rule (`opposite`) and sign
+_FACING = {False: {PLUS: PLUS, MINUS: MINUS}, True: {PLUS: MINUS, MINUS: PLUS}}
+
+
 def _is_mirror(clan: Clan, opposite: bool) -> bool:
     """Position 2n-1-i carries the sign of i (the opposite sign when
-    `opposite`); pairs mirror to pairs, never onto themselves.  A sign
-    facing a pair fails at the pair, whose mirror holds no mate."""
+    `opposite`); pairs mirror to pairs, never onto themselves.  Only the
+    first half is scanned: a sign must face its sign, and a pair end
+    facing the mirror of its mate makes the mirrored pair, since mates
+    point at each other."""
     code = clan.code
     if len(code) % 2:
         raise OddLength(f"clan of odd length {len(code)} has no mirror structure")
     last = len(code) - 1
-    for i, m in enumerate(code):
+    facing = _FACING[opposite]
+    for i in range(len(code) // 2):
+        m = code[i]
         other = code[last - i]
         if isinstance(m, int):
             if m == last - i or other != last - m:
                 return False
-        elif (other == m) == opposite:
+        elif other != facing[m]:
             return False
     return True
 
@@ -487,11 +495,12 @@ CONVENTIONS = ("paper", "figure")
 
 
 def _half_parity(clan: Clan) -> int:
-    # plus signs plus whole pairs among the first half
+    # plus signs plus whole pairs among the first half: a whole pair has
+    # both ends there, each with its mate there too
     n = len(clan) // 2
     half = clan.code[:n]
-    pairs_first_half = sum(1 for i, j in enumerate(half) if isinstance(j, int) and i < j < n)
-    return (half.count(PLUS) + pairs_first_half) % 2
+    ends = len([j for j in half if isinstance(j, int) and j < n])
+    return (half.count(PLUS) + ends // 2) % 2
 
 
 def is_antisymmetric(clan: Clan, convention: str = "paper") -> bool:

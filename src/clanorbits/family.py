@@ -2,12 +2,20 @@
 
 `Family` is what `build_poset`, the Springer cross-validation, the CLI
 and the cache read of a family, with the code all three share: the root
-table (positive roots, noncompact test, Springer move), the checked
-raising move, classification, and the isogeny fold, which is the sign
-flip in all three types.  A family states only its data: its
-`root_signs`, the position pairs `_root_slots` of a root, its
-simple-root move `_raise`, its isogeny `levels` and the `fold_levels`
-among them.
+table (positive roots, noncompact test, Springer move), the one raise
+loop `raised` (each closed orbit's noncompact roots with the orbits
+they raise it to), the checked raising move, classification, and the
+isogeny fold, which is the sign flip in all three types.  A family
+states only its data: its `root_signs`, the position pairs
+`_root_slots` of a root, its simple-root move `_raise`, its isogeny
+`levels` and the `fold_levels` among them.
+
+Smoothness does not depend on the isogeny level, so a clan's verdict
+is a fact of its family: `_judge` checks a clan, searches its fiber
+form and decides it once per family object, and `classify`,
+`fiber_form` and `verdicts` read that memo.  It holds at most `count()`
+entries, keyed by the code tuples the clans already hold.  `raised` is
+memoized the same way, once per closed orbit.
 
 `MirrorFamily` is the machinery types C and D share: clans of length
 2n built by `clans.mirror_double` from their first half; the closed
@@ -33,6 +41,10 @@ from .errors import ClanError, ConsistencyError, InvalidRoot, NotClosed
 Root = tuple[int, int, int]
 
 SIGN_FLIP_LEVELS = ("sc", "adjoint")
+
+# the verdicts without a witness, shared by every memo entry that has one
+_SMOOTH = (True, None)
+_SINGULAR = (False, None)
 
 
 class Family(Protocol):
@@ -120,57 +132,97 @@ class Family(Protocol):
     def is_noncompact(self, closed: Clan, root: Root) -> bool:
         if not closed.is_all_signs():
             raise NotClosed(f"{closed} is not an all-sign clan")
-        return self._is_noncompact(closed, root)
-
-    def _is_noncompact(self, closed: Clan, root: Root) -> bool:
-        # unchecked, for the raise loop, which checks its closed orbit once
         a, b = self._slots(root)[0]
         return closed.code[a] != closed.code[b]
 
     def springer_move(self, closed: Clan, root: Root) -> Clan:
         """The orbit the noncompact imaginary `root` raises `closed` to:
-        each slot pair of the root, two signs, becomes a pair."""
+        each slot pair of the root, two opposite signs, becomes a pair.
+        A compact root (equal signs) raises `InvalidRoot`: pairing them
+        would leave the family."""
         out = list(closed.code)
         for a, b in self._slots(root):
             if isinstance(out[a], int) or isinstance(out[b], int):
                 raise NotClosed(f"position {a + 1} or {b + 1} of {closed} is not a sign")
+            if out[a] == out[b]:
+                raise InvalidRoot(f"{self.root_str(root)} is compact for {closed}")
             out[a], out[b] = b, a
         return Clan(tuple(out))
+
+    @cached_property
+    def _raised(self) -> dict[tuple, tuple[tuple[Root, Clan], ...]]:
+        return {}  # closed code -> `raised` of it
+
+    def raised(self, closed: Clan) -> tuple[tuple[Root, Clan], ...]:
+        """(root, orbit) for each noncompact root of the closed orbit
+        `closed`, with the orbit the root raises it to: the one raise
+        loop of both Springer root counts.  Checked and moved once per
+        closed orbit and family object."""
+        done = self._raised.get(closed.code)
+        if done is not None:
+            return done
+        if not closed.is_all_signs():
+            raise NotClosed(f"{closed} is not a closed orbit")
+        self._check(closed)
+        code = closed.code
+        done = self._raised[code] = tuple(
+            (root, self.springer_move(closed, root))
+            for root, ((a, b), *_) in self._root_table.items() if code[a] != code[b]
+        )
+        return done
 
     @staticmethod
     def root_str(root: Root) -> str:
         i, j, eps = root
         return f"e{i}-e{j}" if eps < 0 else f"e{i}+e{j}"
 
+    _fiber_form = staticmethod(lambda clan: None)  # unchecked: `_judge` checks first
+
+    @cached_property
+    def _judged(self) -> dict[tuple, tuple[bool, object]]:
+        return {}  # code -> (smooth, witness), one entry per judged member
+
+    def _judge(self, clan: Clan) -> tuple[bool, object]:
+        """(smooth, fiber-form witness) of a member clan: checked,
+        searched and decided once per family object, then read back."""
+        verdict = self._judged.get(clan.code)
+        if verdict is None:
+            self._check(clan)
+            form = self._fiber_form(clan)
+            if form is not None:
+                verdict = (True, form)
+            else:
+                verdict = _SMOOTH if avoids_bad_patterns(clan) else _SINGULAR
+            self._judged[clan.code] = verdict
+        return verdict
+
     def fiber_form(self, clan: Clan):
         """Witness of an exceptional fiber-bundle form; None when there is
-        none (always, in type A)."""
-        self._check(clan)
-        return self._fiber_form(clan)
-
-    _fiber_form = staticmethod(lambda clan: None)  # unchecked, for `classify` and `verdicts`
+        none (always, in type A).  Read off the memoized verdict; a clan
+        outside the family raises its `ClanError`."""
+        return self._judge(clan)[1]
 
     def classify(self, clan: Clan) -> bool:
-        """True when the orbit closure is smooth: the clan avoids the bad
-        patterns, or carries an exceptional fiber-bundle form."""
-        self._check(clan)
-        return avoids_bad_patterns(clan) or self._fiber_form(clan) is not None
+        """True when the orbit closure is smooth: the clan carries an
+        exceptional fiber-bundle form, or avoids the bad patterns.  Read
+        off the memoized verdict; a clan outside the family raises."""
+        return self._judge(clan)[0]
 
     def verdicts(self, poset: OrbitPoset) -> list[tuple[bool, object]]:
-        """(smooth, fiber-form witness) per node of `poset`.  The
-        representative is checked and searched once, its verdict read off
-        its witness; smoothness does not depend on the isogeny level, so
-        every other member goes through `classify` and must agree, or
-        `ConsistencyError` is raised."""
+        """(smooth, fiber-form witness) per node of `poset`, the
+        representative's memoized verdict.  Smoothness does not depend
+        on the isogeny level, so every other member goes through
+        `classify` and must agree, or `ConsistencyError` is raised.
+        Each member is checked and searched once per family object,
+        however many views and readers ask."""
+        judge, classify = self._judge, self.classify
         out = []
         for orbit, members in zip(poset.orbits, poset.members):
-            self._check(orbit)
-            form = self._fiber_form(orbit)
-            smooth = form is not None or avoids_bad_patterns(orbit)
+            verdict = judge(orbit)
             for m in members:
-                if m != orbit and self.classify(m) != smooth:
+                if m != orbit and classify(m) != verdict[0]:
                     raise ConsistencyError(f"classification differs across the class of {orbit}")
-            out.append((smooth, form))
+            out.append(verdict)
         return out
 
     levels: tuple[str, ...] = SIGN_FLIP_LEVELS  # the levels `isogeny_fold` accepts

@@ -11,11 +11,13 @@ In these families the test is sharp: an orbit closure is rationally
 smooth (equivalently smooth) iff no closed orbit below it violates the
 inequality.
 
-Both counts start from one raise loop, `raised_nodes`: the noncompact
-roots of a closed node, each with the node it raises that node to.
-`springer_report` keeps the roots whose node lies below one orbit
-(`le_ids`) and lists them: it is the explain path and the oracle of the
-tests.  `cross_validate` checks every orbit against the pattern-based
+Both counts start from one raise loop, `Family.raised`: the noncompact
+roots of a closed orbit, each with the orbit it raises that orbit to,
+computed once per closed orbit and family object.  `raised_nodes` maps
+those orbits to the nodes of one poset and checks that each lies
+strictly higher.  `springer_report` keeps the roots whose node lies
+below one orbit (`le_ids`) and lists them: it is the explain path and
+the oracle of the tests.  `cross_validate` checks every orbit against the pattern-based
 classifiers without the full down-sets.  It reads only the landmarks:
 the closed nodes and the nodes their roots raise them to.
 `raised_masks` folds each closed node's raised nodes into bitmasks over
@@ -36,7 +38,7 @@ from dataclasses import dataclass
 
 from .clans import Clan
 from .closure import OrbitPoset
-from .errors import ConsistencyError, NotBelow, NotClosed
+from .errors import ConsistencyError, NotBelow
 from .family import Family, Root
 
 
@@ -64,15 +66,12 @@ def raised_nodes(family: Family, poset: OrbitPoset, cid: int) -> list[tuple[Root
     """(root, node id) for each noncompact root of the closed node `cid`
     and the node it raises `cid` to, which must lie strictly higher."""
     closed = poset.orbits[cid]
-    if not closed.is_all_signs():
-        raise NotClosed(f"{closed} is not a closed orbit")
     out = []
-    for root in family.positive_roots():
-        if family._is_noncompact(closed, root):
-            mid = poset.id_of(family.springer_move(closed, root))
-            if poset.dims[mid] <= poset.dims[cid]:
-                raise ConsistencyError(f"raising root {root} failed to raise {closed}")
-            out.append((root, mid))
+    for root, orbit in family.raised(closed):
+        mid = poset.id_of(orbit)
+        if poset.dims[mid] <= poset.dims[cid]:
+            raise ConsistencyError(f"raising root {root} failed to raise {closed}")
+        out.append((root, mid))
     return out
 
 

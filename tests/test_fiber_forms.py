@@ -1,5 +1,5 @@
 """The fiber forms on clan codes against the labelled-symbol forms they
-replace, and one membership check per classified clan.
+replace, and one membership check and search per clan and family.
 
 The oracle below is the fiber-form code the package used before the
 forms cut clans with `clans.block`: it sliced the labelled form, rebuilt
@@ -27,6 +27,7 @@ from clanorbits import (
 from clanorbits.clans import _half_parity
 from clanorbits.cli import orbit_rows
 from clanorbits.closure import _swap, build_poset, quotient_poset
+from clanorbits.errors import ClanError
 from clanorbits.family import SIGN_FLIP_LEVELS
 from clanorbits.family_c import fiber_form_c
 from clanorbits.family_d import ISOGENY_LEVELS_D, fiber_form_d
@@ -158,8 +159,8 @@ def test_type_d_fiber_forms_match_the_oracle(family):
     ids=["C(2,2)", "D(4)"],
 )
 def test_verdicts_check_each_member_once(family, poset, members, request, monkeypatch):
-    """One `verdicts` call checks each member once, and so does one
-    `orbit_rows` call: its witness column reads the unchecked search."""
+    """Each member is checked once per family object: one `verdicts`
+    call checks every member, and a later `orbit_rows` reads the memo."""
     poset = request.getfixturevalue(poset)
     cls = type(family)
     check = cls._check
@@ -174,7 +175,7 @@ def test_verdicts_check_each_member_once(family, poset, members, request, monkey
     assert len(calls) == members == sum(len(m) for m in poset.members)
     calls.clear()
     orbit_rows(family, poset)
-    assert len(calls) == members
+    assert len(calls) == 0
 
 
 VERDICT_FAMILIES = (
@@ -197,3 +198,61 @@ def test_verdicts_are_the_checked_verdict_and_witness(family):
         assert len(judged) == len(view.orbits)
         for orbit, got in zip(view.orbits, judged):
             assert got == (family.classify(orbit), family.fiber_form(orbit)), (level, orbit)
+
+
+def fresh(family):
+    """A new family object with the same parameters, its memo empty."""
+    return type(family)(**{k: v for k, v in family.meta().items() if k != "family"})
+
+
+def level_views(family):
+    levels = ISOGENY_LEVELS_D if family.name == "d" else SIGN_FLIP_LEVELS
+    base = build_poset(family)
+    return [quotient_poset(base, family.isogeny_fold(level), level) for level in levels]
+
+
+def unmemoized_verdicts(family, view):
+    """Each representative searched and scanned afresh, past the memo."""
+    out = []
+    for orbit in view.orbits:
+        form = family._fiber_form(orbit)
+        out.append((form is not None or avoids_bad_patterns(orbit), form))
+    return out
+
+
+@pytest.mark.parametrize("family", VERDICT_FAMILIES, ids=repr)
+def test_a_seasoned_family_judges_each_view_as_a_fresh_one(family):
+    """The memo serves one family's verdicts to every view: after judging
+    all the other views, a family still gives each view the verdicts of a
+    family that has judged nothing, and of no memo at all."""
+    views = level_views(family)
+    for k, view in enumerate(views):
+        seasoned = fresh(family)
+        for other in views[:k] + views[k + 1:]:
+            seasoned.verdicts(other)
+        got = seasoned.verdicts(view)
+        assert got == fresh(family).verdicts(view) == unmemoized_verdicts(family, view), view.meta
+
+
+@pytest.mark.parametrize(
+    "family, foreign",
+    [
+        (FamilyA(2, 2), [Clan(("+", "+", "+", "-")), Clan((1, 0, "+", "+"))]),
+        (FamilyC(2, 1), [Clan(("+", "-", "-", "+", "+", "-")), Clan((5, "+", "+", "-", "-", 0))]),
+        (FamilyD(3), FamilyD(3, "figure").enumerate()),
+    ],
+    ids=repr,
+)
+def test_a_full_memo_still_refuses_foreign_clans(family, foreign):
+    """Every member judged, at every level: the memo holds at most
+    `count()` entries, and `classify` and `fiber_form` still raise on a
+    clan outside the family without storing it."""
+    for view in level_views(family):
+        family.verdicts(view)
+    assert len(family._judged) == family.count()
+    for clan in foreign:
+        assert not family.contains(clan)
+        for ask in (family.classify, family.fiber_form):
+            with pytest.raises(ClanError):
+                ask(clan)
+    assert len(family._judged) <= family.count()

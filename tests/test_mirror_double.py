@@ -154,6 +154,28 @@ def _old_is_antisymmetric(clan: Clan, convention: str) -> bool:
     return _half_parity(clan) == (0 if convention == "paper" else len(clan) // 2 % 2)
 
 
+def _full_scan_mirror(clan: Clan, opposite: bool) -> bool:
+    """The mirror check over all 2n positions, before it scanned one half."""
+    code = clan.code
+    last = len(code) - 1
+    for i, m in enumerate(code):
+        other = code[last - i]
+        if isinstance(m, int):
+            if m == last - i or other != last - m:
+                return False
+        elif (other == m) == opposite:
+            return False
+    return True
+
+
+def _generator_half_parity(clan: Clan) -> int:
+    """Plus signs plus whole pairs of the first half, by a generator."""
+    n = len(clan) // 2
+    half = clan.code[:n]
+    return (half.count(PLUS) + sum(1 for i, j in enumerate(half) if isinstance(j, int)
+                                   and i < j < n)) % 2
+
+
 # ----------------------------------------------------------------- tests
 
 C_UP_TO_8 = [FamilyC(p, n - p) for n in range(9) for p in range(n + 1)]
@@ -230,6 +252,27 @@ def test_mirror_predicates_match_the_oracle():
             is_symmetric(odd)
         with pytest.raises(OddLength):
             is_antisymmetric(odd)
+
+
+def test_half_scans_match_the_full_scan():
+    """The first-half mirror scan and the counted half parity agree with
+    the full-length scan and the generator on every code of even length
+    up to 10, under both sign rules and both type-D conventions."""
+    mirrors = {False: 0, True: 0}
+    for length in range(0, 11, 2):
+        for p in range(length + 1):
+            for clan in enumerate_clans(p, length - p):
+                assert _half_parity(clan) == _generator_half_parity(clan), clan
+                for opposite in (False, True):
+                    full = _full_scan_mirror(clan, opposite)
+                    assert _is_mirror(clan, opposite) == full, (clan, opposite)
+                    mirrors[opposite] += full
+                for conv in ("paper", "figure"):
+                    want = (_full_scan_mirror(clan, True) and _generator_half_parity(clan)
+                            == (0 if conv == "paper" else length // 2 % 2))
+                    assert is_antisymmetric(clan, conv) == want, (clan, conv)
+    # mirror clans of length 2n number 1, 2, 6, 20, 76, 312 per sign rule up to n = 5
+    assert mirrors == {False: 417, True: 417}
 
 
 def test_mirror_clans_examples():

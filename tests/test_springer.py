@@ -16,7 +16,8 @@ from clanorbits import (
     rationally_smooth,
     springer_report,
 )
-from clanorbits.errors import ConsistencyError, InvalidRoot, NotBelow, NotClosed, UnknownOrbit
+from clanorbits.errors import (ClanError, ConsistencyError, InvalidRoot, NotBelow, NotClosed,
+                               UnknownOrbit)
 from clanorbits.family import SIGN_FLIP_LEVELS
 from clanorbits.family_d import ISOGENY_LEVELS_D
 from clanorbits.springer import raised_masks, raised_nodes, root_count
@@ -112,6 +113,52 @@ def test_a_root_outside_the_clan_is_invalid(family, closed, root):
     for ask in (family.is_noncompact, family.springer_move):
         with pytest.raises(InvalidRoot):
             ask(P(closed), root)
+
+
+@pytest.mark.parametrize(
+    "family, closed, root",
+    [
+        (FamilyA(2, 2), "+,+,-,-", (1, 2, -1)),
+        (FamilyC(2, 1), "+,+,-,-,+,+", (1, 2, -1)),
+        (FamilyC(2, 1), "+,+,-,-,+,+", (1, 2, 1)),
+        (FamilyD(2), "+,+,-,-", (1, 2, -1)),
+    ],
+    ids=["A(2,2)", "C(2,1) e1-e2", "C(2,1) e1+e2", "D(2)"],
+)
+def test_a_compact_root_moves_nothing(family, closed, root):
+    # pairing two equal signs would leave the family: U(2,2)'s 1,1,-,- is
+    # a clan of signature (1, 3)
+    assert family.contains(P(closed)) and not family.is_noncompact(P(closed), root)
+    with pytest.raises(InvalidRoot):
+        family.springer_move(P(closed), root)
+    assert all(family.contains(moved) for _, moved in family.raised(P(closed)))
+
+
+def test_raised_refuses_a_foreign_closed_orbit():
+    with pytest.raises(ClanError):
+        FamilyA(3, 1).raised(P("+,+,-,-"))
+    with pytest.raises(NotClosed):
+        FamilyA(2, 2).raised(P("1,1,+,-"))
+
+
+@pytest.mark.parametrize("family", [FamilyA(3, 2), FamilyC(2, 2), FamilyD(4)], ids=repr)
+def test_each_closed_orbit_is_moved_once(family, monkeypatch):
+    """One `cross_validate` per view, then a report on every (orbit,
+    closed orbit below it) pair: each (closed orbit, root) pair is moved
+    once, and the moves are the raise loop's."""
+    base = build_poset(family)
+    want = [(cl, root) for cl in base.minima() for root, _ in raised_by_roots(family, cl)]
+    moved = []
+    move = type(family).springer_move
+    monkeypatch.setattr(type(family), "springer_move",
+                        lambda self, closed, root: moved.append((closed, root)) or
+                        move(self, closed, root))
+    for _, view in views(family, base, family.levels):
+        assert cross_validate(family, view)["mismatches"] == []
+        for orbit in view.orbits:
+            for closed in view.closed_below(orbit):
+                springer_report(family, view, orbit, closed)
+    assert sorted(moved, key=str) == sorted(want, key=str) and want
 
 
 def test_report_json(poset_a22):
@@ -219,13 +266,13 @@ def test_mask_counts_match_reports():
 
 
 def test_raised_masks_guard_the_moves(poset_a22, monkeypatch):
-    fa = FamilyA(2, 2)
+    # a fresh family per patch: a family moves each closed orbit once
     monkeypatch.setattr(FamilyA, "springer_move", lambda self, closed, root: closed)
     with pytest.raises(ConsistencyError):
-        cross_validate(fa, poset_a22)
+        cross_validate(FamilyA(2, 2), poset_a22)
     monkeypatch.setattr(FamilyA, "springer_move", lambda self, closed, root: P("+,+,+,-"))
     with pytest.raises(UnknownOrbit):
-        cross_validate(fa, poset_a22)
+        cross_validate(FamilyA(2, 2), poset_a22)
 
 
 def test_mask_counts_keep_root_multiplicity(poset_a22, monkeypatch):
