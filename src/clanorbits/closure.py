@@ -5,7 +5,8 @@ simple roots.  The full closure order follows from it by one identity
 (Richardson and Springer 1990): if root s raises u to v, the lower
 covers of v are the nodes s raises to v and the nodes s raises the lower
 covers of u to.  Covers that the identity adds to the weak edges are
-marked "completed" (the dashed edges of closure diagrams).
+marked "completed" (the dashed edges of closure diagrams).  The weak-order
+walk numbers the orbits, one dimension layer at a time, by text.
 
 Family objects plugged into `build_poset` follow `clanorbits.family.Family`.
 """
@@ -15,12 +16,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable, Container, Iterable, Sequence
 
 from .clans import Clan
-from .errors import (
-    ConsistencyError,
-    NotGraded,
-    RankTooLarge,
-    UnknownOrbit,
-)
+from .errors import ConsistencyError, NotGraded, RankTooLarge, UnknownOrbit
 
 if TYPE_CHECKING:
     from .family import Family
@@ -132,7 +128,8 @@ class OrbitPoset:
     comparison per cover.
     ``members[i]`` lists the clans fused into node i (a single clan
     except on isogeny-quotient posets).  Ids rise with dimension:
-    `build_poset` and `quotient_poset` number orbits by (dimension, text),
+    `weak_order_graph` numbers each dimension layer by text when the layer
+    closes, `quotient_poset` numbers classes by (dimension, text),
     `validate` checks it, and `down_over`, `complete_closure` and
     `cli.poset_dot` walk ids instead of sorting.
 
@@ -273,55 +270,64 @@ class OrbitPoset:
 
 
 def weak_order_graph(family: Family, max_orbits: int | None = None):
-    """Upward move-closure of the family's closed orbits.
+    """Upward move-closure of the family's closed orbits, numbered as it
+    goes: (orbits, edges, dims), lists in id order, the weak edges as
+    (lo, hi, root) id triples.
 
-    Returns (dims, edges): a dict clan -> dimension and the list of
-    labeled weak edges.  Simple-root raises reach every orbit from the
-    closed ones (Richardson and Springer 1990), so members as many as
-    the closed-form `count()` are the family, which is never enumerated.
-    Each fact is checked once: the closed orbits through the checked
-    `dimension`; each new orbit by `contains`, then its dimension without
-    the check (the codes are well formed: `_swap` carries the mates and
-    `tests/test_moves.py` pins each move); each edge for the +1 grading;
-    the orbit total against the count, which is taken first and meets the
-    length cap and `max_orbits`, so oversized input fails at once.  The
-    walk moves codes with the unchecked `_raise` (its roots are
-    `root_indices`) and keys its table by code: one `Clan` per orbit.
+    The closed orbits share one dimension and each simple-root raise adds
+    one (Richardson and Springer 1990), so the k-th frontier is the layer
+    of dimension d_closed + k: walked in the order found, numbered by text
+    when it closes, and only the open layer's code table kept.  The raises
+    reach every orbit, so members as many as the closed-form `count()` are
+    the family, which is never enumerated.  Each fact is checked once: the
+    closed orbits through the checked `dimension`; each new orbit by
+    `contains`, then its unchecked dimension against its layer's (the codes
+    are well formed: `_swap` carries the mates and `tests/test_moves.py`
+    pins each move); the total against the count, taken first against the
+    length cap and `max_orbits`, so oversized input fails at once.  Codes
+    move by the unchecked `_raise`: one `Clan` per orbit.
     """
     total = family.count()
     if max_orbits is not None and total > max_orbits:
         raise RankTooLarge(f"{total} orbits exceed the cap of {max_orbits}")
-    seen: dict[tuple, tuple[Clan, int]] = {}
-    for c in family.closed_clans():
-        seen[c.code] = (c, family.dimension(c))
-    edges: list[tuple[Clan, Clan, int]] = []
-    frontier = list(seen.values())
-    roots = family.root_indices()
-    dimension = family._dimension
-    move = family._raise
-    while frontier:
-        nxt = []
-        for clan, base in frontier:
+    layer = family.closed_clans()
+    closed_dims = {family.dimension(c) for c in layer}
+    if len(closed_dims) > 1:
+        raise NotGraded(f"closed orbits lie at dimensions {sorted(closed_dims)}")
+    dim = max(closed_dims, default=0)
+    orbits, edges, dims = [], [], []
+    into = []  # the weak edges into `layer`, as (lo id, position in the layer, root)
+    roots, dimension, move = family.root_indices(), family._dimension, family._raise
+    while layer:
+        order = sorted(range(len(layer)), key=[str(c) for c in layer].__getitem__)
+        new_id = [0] * len(layer)
+        for k, p in enumerate(order, len(orbits)):
+            new_id[p] = k
+        orbits += [layer[p] for p in order]
+        dims += [dim] * len(layer)
+        edges += [(lo, new_id[p], root) for lo, p, root in into]
+        position, nxt, into = {}, [], []  # the next layer: code -> position, and its orbits
+        for clan, lo in zip(layer, new_id):
             code = clan.code
             for root in roots:
                 moved = move(code, root)
                 if moved is None:
                     continue
-                known = seen.get(moved)
-                if known is None:
+                p = position.get(moved)
+                if p is None:
                     raised = Clan(moved)
                     if not family.contains(raised):
                         raise ConsistencyError(f"{clan} -{root}-> {raised} leaves the family")
-                    known = seen[moved] = (raised, dimension(raised))
-                    nxt.append(known)
-                raised, dim = known
-                edges.append((clan, raised, root))
-                if dim != base + 1:
-                    raise NotGraded(f"{clan} -{root}-> {raised} is not a +1 edge")
-        frontier = nxt
-    if len(seen) != total:
-        raise ConsistencyError(f"move closure reaches {len(seen)} orbits, the count is {total}")
-    return dict(seen.values()), edges
+                    if dimension(raised) != dim + 1:
+                        raise NotGraded(f"{clan} -{root}-> {raised} is not a +1 edge")
+                    p = position[moved] = len(nxt)
+                    nxt.append(raised)
+                into.append((lo, p, root))
+        layer = nxt
+        dim += 1
+    if len(orbits) != total:
+        raise ConsistencyError(f"move closure reaches {len(orbits)} orbits, the count is {total}")
+    return orbits, edges, dims
 
 
 def complete_closure(dims_by_id: Sequence[int],
@@ -361,20 +367,12 @@ def complete_closure(dims_by_id: Sequence[int],
 
 def build_poset(family: Family, max_orbits: int | None = None) -> OrbitPoset:
     """Weak order graph, completed and wrapped as a validated poset."""
-    dims, weak = weak_order_graph(family, max_orbits)
-    ranked = sorted(dims.items(), key=lambda cd: (cd[1], str(cd[0])))
-    order = [c for c, _ in ranked]
-    dim_list = [d for _, d in ranked]
-    idx = {c.code: i for i, c in enumerate(order)}
-    weak_ids = [(idx[a.code], idx[b.code], r) for a, b, r in weak]
-    covers = complete_closure(dim_list, weak_ids)
-    poset = OrbitPoset(family.meta(), order, dim_list, covers)
+    orbits, weak, dims = weak_order_graph(family, max_orbits)
+    poset = OrbitPoset(family.meta(), orbits, dims, complete_closure(dims, weak))
     poset.validate()
-    if order and poset.open_orbit() != family.open_clan():
-        raise ConsistencyError(
-            f"poset maximum {poset.open_orbit()} differs from the expected "
-            f"open orbit {family.open_clan()}"
-        )
+    if orbits and poset.open_orbit() != family.open_clan():
+        raise ConsistencyError(f"poset maximum {poset.open_orbit()} differs from the "
+                               f"expected open orbit {family.open_clan()}")
     if set(poset.minima()) != set(family.closed_clans()):
         raise ConsistencyError("poset minima differ from the closed orbits")
     return poset

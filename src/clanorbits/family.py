@@ -132,14 +132,16 @@ class Family(Protocol):
     def is_noncompact(self, closed: Clan, root: Root) -> bool:
         if not closed.is_all_signs():
             raise NotClosed(f"{closed} is not an all-sign clan")
+        self._check(closed)
         a, b = self._slots(root)[0]
         return closed.code[a] != closed.code[b]
 
     def springer_move(self, closed: Clan, root: Root) -> Clan:
-        """The orbit the noncompact imaginary `root` raises `closed` to:
-        each slot pair of the root, two opposite signs, becomes a pair.
-        A compact root (equal signs) raises `InvalidRoot`: pairing them
-        would leave the family."""
+        """The orbit the noncompact imaginary `root` raises the member
+        `closed` to: each slot pair of the root, two opposite signs, becomes
+        a pair.  A compact root (equal signs) raises `InvalidRoot`: pairing
+        them would leave the family."""
+        self._check(closed)
         out = list(closed.code)
         for a, b in self._slots(root):
             if isinstance(out[a], int) or isinstance(out[b], int):

@@ -7,7 +7,8 @@ with `closure._move`, so it needs none of these.
 
 Two oracles of the closure build keep its earlier, plainer forms: the
 weak-order walk through the checked `Family.raise_by`, one `Clan` per
-move, and `queue_closure`, the one oracle of the closure order: the
+move, keyed by clan and unnumbered (the package numbers each dimension
+layer by text when it closes), and `queue_closure`, the one oracle of the closure order: the
 diamond rule run to a fixpoint, popping every cover from a queue,
 visiting every root of its upper end and keeping a global set of pairs.
 The package reads the same order off one weak edge per node.
@@ -72,9 +73,13 @@ def simple_move_a(clan: Clan, i: int) -> Clan | None:
 
 
 def raise_by_walk(family) -> tuple[dict, list]:
-    """(dims, edges) of `closure.weak_order_graph`, by a breadth-first walk
-    that raises each orbit through `raise_by` and checks each new orbit's
-    dimension with the family's checked `dimension`."""
+    """The orbits, dimensions and weak edges of `closure.weak_order_graph`
+    keyed by clan: a dict clan -> dimension and (Clan, Clan, root) edges,
+    by a breadth-first walk that raises each orbit through `raise_by` and
+    checks each new orbit's dimension with the family's checked
+    `dimension`.  The package's walk numbers each dimension layer by text
+    when it closes and gives id triples; read back through its orbit
+    list, they are these edges in this order."""
     dims = {c: family.dimension(c) for c in family.closed_clans()}
     edges = []
     frontier = list(dims)

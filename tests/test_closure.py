@@ -51,19 +51,20 @@ def test_move_position_range():
 # ----------------------------------------------------------- weak order
 
 def test_weak_graph_u22(poset_a22):
-    dims, edges = weak_order_graph(FamilyA(2, 2))
-    assert len(dims) == 21
+    orbits, edges, dims = weak_order_graph(FamilyA(2, 2))
+    assert len(orbits) == len(dims) == 21
     assert len(edges) == 33
     # two labels between the same orbits where the figure doubles up
-    assert (P("1,2,1,2"), P("1,2,2,1"), 1) in edges
-    assert (P("1,2,1,2"), P("1,2,2,1"), 3) in edges
+    lo, hi = orbits.index(P("1,2,1,2")), orbits.index(P("1,2,2,1"))
+    assert (lo, hi, 1) in edges
+    assert (lo, hi, 3) in edges
 
 
 def test_weak_graph_trivial_families():
-    dims, edges = weak_order_graph(FamilyA(1, 0))
-    assert list(dims) == [P("+")] and edges == []
-    dims, edges = weak_order_graph(FamilyD(3))
-    assert len(dims) == 10
+    orbits, edges, dims = weak_order_graph(FamilyA(1, 0))
+    assert orbits == [P("+")] and edges == [] and dims == [0]
+    orbits, edges, dims = weak_order_graph(FamilyD(3))
+    assert len(orbits) == len(dims) == 10
 
 
 def test_raise_by_examples():
@@ -143,16 +144,44 @@ ORACLE_FAMILIES = (
 @pytest.mark.parametrize("family", ORACLE_FAMILIES, ids=repr)
 def test_build_matches_the_raise_by_walk_and_queue_closure(family):
     """The code walk gives the `raise_by` walk's orbits, dimensions and
-    edges in the same order, and the one-pass completion gives the
-    covers of the queue closure."""
-    dims, edges = weak_order_graph(family)
+    edges in the same order, once its ids are read back as clans; the
+    build keeps the walk's numbering, and the one-pass completion gives
+    the covers of the queue closure."""
+    orbits, edges, dims = weak_order_graph(family)
     want_dims, want_edges = raise_by_walk(family)
-    assert dims == want_dims and edges == want_edges
+    assert len(orbits) == len(want_dims) and dict(zip(orbits, dims)) == want_dims
+    assert [(orbits[lo], orbits[hi], r) for lo, hi, r in edges] == want_edges
     poset = build_poset(family)
-    idx = {c: i for i, c in enumerate(poset.orbits)}
-    weak_ids = [(idx[a], idx[b], r) for a, b, r in edges]
-    want = OrbitPoset(poset.meta, poset.orbits, poset.dims, queue_closure(poset.dims, weak_ids))
+    assert poset.orbits == orbits and poset.dims == dims
+    want = OrbitPoset(poset.meta, orbits, dims, queue_closure(dims, edges))
     assert poset.covers == want.covers
+
+
+@pytest.mark.parametrize("family", ORACLE_FAMILIES, ids=repr)
+def test_ids_rise_with_dimension_then_text_at_every_view(family):
+    """The walk numbers each dimension layer by text as it closes, and the
+    fold numbers its classes by (dimension, text): on every isogeny view
+    (dims[i], text of orbits[i]) strictly rises with i.  The walk's
+    second item is the weak edges, one per labelled cover of the build."""
+    base = build_poset(family)
+    weak = weak_order_graph(family)[1]
+    assert len(weak) == sum(1 for _, _, root in base.covers if root is not None)
+    for level in family.levels:
+        view = quotient_poset(base, family.isogeny_fold(level), level)
+        keys = [(d, str(c)) for d, c in zip(view.dims, view.orbits)]
+        assert all(a < b for a, b in zip(keys, keys[1:])), level
+
+
+def test_closed_orbits_at_two_dimensions_are_refused(monkeypatch):
+    """Every closed orbit has one dimension: one closed orbit of A(2,2)
+    read one higher stops the build before any walk."""
+    family = FamilyA(2, 2)
+    odd = family.closed_clans()[1]
+    dimension = FamilyA.dimension
+    monkeypatch.setattr(FamilyA, "dimension",
+                        lambda self, clan: dimension(self, clan) + (clan == odd))
+    with pytest.raises(NotGraded, match="closed orbits"):
+        build_poset(family)
 
 
 @pytest.mark.parametrize("family", [FamilyA(3, 3), FamilyC(3, 2), FamilyD(6)], ids=repr)
@@ -175,17 +204,18 @@ def test_every_weak_edge_gives_the_lower_covers_of_its_upper_end(family):
     reads this on one weak edge per node; every weak edge must give the
     same set.  Raised by the family's `_raise` on codes."""
     poset = build_poset(family)
-    code = [c.code for c in poset.orbits]
-    lower = {c: set() for c in code}
+    orbits, edges, _ = weak_order_graph(family)
+    assert orbits == poset.orbits
+    code = [c.code for c in orbits]
+    lower = [set() for _ in code]
     for lo, hi, _ in poset.covers:
-        lower[code[hi]].add(code[lo])
-    _, edges = weak_order_graph(family)
-    weak_lower = {c: set() for c in code}
+        lower[hi].add(code[lo])
+    weak_lower = [set() for _ in code]
     for u, v, _ in edges:
-        weak_lower[v.code].add(u.code)
+        weak_lower[v].add(code[u])
     for u, v, s in edges:
-        raised = {family._raise(x, s) for x in lower[u.code]} - {None}
-        assert lower[v.code] == weak_lower[v.code] | raised, (u, v, s)
+        raised = {family._raise(x, s) for x in lower[u]} - {None}
+        assert lower[v] == weak_lower[v] | raised, (orbits[u], orbits[v], s)
 
 
 # -------------------------------------------------------------- queries

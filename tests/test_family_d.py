@@ -162,11 +162,11 @@ def test_classification_examples(poset_d4):
 
 
 def test_springer_root_data():
-    fd = FamilyD(2)
-    cl = P("+,-,+,-")  # valid mirror structure, parity class aside
+    fd = FamilyD(3)
+    cl = P("+,-,+,-,+,-")  # a closed orbit: D(2) has none with e1-e2 noncompact
     assert fd.is_noncompact(cl, (1, 2, -1))
-    assert not fd.is_noncompact(cl, (1, 2, 1))  # coordinate 3 carries '+'
-    assert str(fd.springer_move(cl, (1, 2, -1))) == "1,1,2,2"
+    assert not fd.is_noncompact(cl, (1, 2, 1))  # coordinate 5 carries '+'
+    assert str(fd.springer_move(cl, (1, 2, -1))) == "1,1,+,-,2,2"
     assert all(eps in (-1, 1) for (_, _, eps) in fd.positive_roots())
 
 

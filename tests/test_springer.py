@@ -106,7 +106,7 @@ def test_report_checks_its_closed_orbit_once(poset_a33, monkeypatch):
         (FamilyA(2, 2), "+,-,-,+", (1, 5, -1)),
         (FamilyC(1, 1), "+,-,-,+", (1, 7, -1)),
         (FamilyC(1, 1), "+,-,-,+", (1, 5, 1)),
-        (FamilyD(2), "-,+,-,+", (2, 5, -1)),
+        (FamilyD(2), "-,-,+,+", (2, 5, -1)),
     ],
 )
 def test_a_root_outside_the_clan_is_invalid(family, closed, root):
@@ -139,6 +139,15 @@ def test_raised_refuses_a_foreign_closed_orbit():
         FamilyA(3, 1).raised(P("+,+,-,-"))
     with pytest.raises(NotClosed):
         FamilyA(2, 2).raised(P("1,1,+,-"))
+
+
+def test_root_data_refuse_a_foreign_closed_orbit():
+    # +,+,-,- has signature (2, 2): U(3,1) must not pair it up as its own
+    family, foreign = FamilyA(3, 1), P("+,+,-,-")
+    assert not family.contains(foreign)
+    for ask in (family.is_noncompact, family.springer_move):
+        with pytest.raises(ClanError):
+            ask(foreign, (1, 3, -1))
 
 
 @pytest.mark.parametrize("family", [FamilyA(3, 2), FamilyC(2, 2), FamilyD(4)], ids=repr)
@@ -219,10 +228,8 @@ def test_springer_moves_shape(poset_a22):
     data = raised_by_roots(fa, P("+,-,-,+"))
     assert len(data) == 4
     assert ((1, 2, -1), P("1,1,-,+")) in data
-    fd = FamilyD(2)
-    data = raised_by_roots(fd, P("+,-,+,-"))
-    assert ((1, 2, -1), P("1,1,2,2")) in data
-    assert all(eps == -1 for ((_, _, eps), _) in data)
+    # D(2)'s closed orbits carry equal signs on the slots of e1-e2
+    assert raised_by_roots(FamilyD(2), P("+,+,-,-")) == [((1, 2, 1), P("1,2,1,2"))]
 
 
 def views(family, base, levels):
