@@ -24,6 +24,7 @@ from .clans import (
     parse_clan,
 )
 from .closure import (
+    Covers,
     OrbitPoset,
     build_poset,
     complete_closure,
@@ -40,6 +41,7 @@ from .springer import SpringerReport, cross_validate, rationally_smooth, springe
 __all__ = [
     "BAD_PATTERNS",
     "Clan",
+    "Covers",
     "FamilyA",
     "FamilyC",
     "FamilyD",

@@ -9,10 +9,12 @@ sort_keys=True)`, and `poset --format json` prints the same dict.
 `CACHE_VERSION` versions what a file means, its schema and the algorithm
 that computed its order: bump it when either changes.  A file of another
 version is a `VersionMismatch`, not rebuilt silently.  Loading decodes
-each clan with `parse_clan`, zips the columns into cover triples, sorts
-them (one comparison each, as the file lists them in canonical order)
-and validates the schema and the poset (dims and cover ids JSON
-integers, cover ids in range, root labels among the family's simple
+each clan with `parse_clan` and reads the cover columns straight into the
+poset's `Covers` columns, with no tuple per cover (the ids must be JSON
+integers, as `array('i')` would read `true` as 1); columns in canonical
+order, as a saved file lists them, are kept after one comparison per
+cover, others are sorted.  It validates the schema and the poset (dims
+JSON integers, cover ids in range, root labels among the family's simple
 roots, one cover per pair unless the labels differ, grading, ids rising
 with dimension, one open orbit, all-sign minima); it builds no
 reachability, which the poset computes when a query first needs it.
@@ -27,11 +29,12 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from itertools import chain
 from pathlib import Path
 from typing import Container
 
 from .clans import parse_clan
-from .closure import OrbitPoset, build_poset
+from .closure import Covers, OrbitPoset, build_poset
 from .errors import CorruptCache, RankTooLarge, VersionMismatch
 from .family import Family
 
@@ -47,9 +50,9 @@ def poset_to_dict(poset: OrbitPoset) -> dict:
         "orbits": [str(c) for c in poset.orbits],
         "dims": list(poset.dims),
         "covers": {
-            "lo": [c[0] for c in covers],
-            "hi": [c[1] for c in covers],
-            "root": [c[2] for c in covers],
+            "lo": covers.lo.tolist(),
+            "hi": covers.hi.tolist(),
+            "root": list(covers.root),
         },
     }
 
@@ -73,10 +76,11 @@ def poset_from_dict(data: dict, roots: Container[int] | None = None) -> OrbitPos
     try:
         orbits = list(map(parse_clan, data["orbits"]))
         dims = list(data["dims"])
-        if any(type(d) is not int for d in dims):  # a JSON integer, not a bool
-            raise ValueError("a dim is not an integer")
-        columns = data["covers"]
-        covers = list(zip(columns["lo"], columns["hi"], columns["root"], strict=True))
+        lo, hi, root = (data["covers"][key] for key in ("lo", "hi", "root"))
+        # JSON integers, not bools: `array('i')` would read `true` as 1
+        if not {int}.issuperset(map(type, chain(dims, lo, hi))):
+            raise ValueError("a dim or a cover id is not an integer")
+        covers = Covers(lo, hi, root)
         if len(orbits) != len(dims):
             raise ValueError("orbit list malformed")
         poset = OrbitPoset(meta, orbits, dims, covers)

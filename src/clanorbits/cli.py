@@ -18,7 +18,7 @@ import sys
 from itertools import groupby
 
 from .cache import load_or_build, poset_to_dict
-from .closure import OrbitPoset, quotient_poset, raising_moves_oracle
+from .closure import Covers, OrbitPoset, quotient_poset, raising_moves_oracle
 from .errors import CacheError, ClanError, ConsistencyError, RankTooLarge
 from .family_a import FamilyA
 from .family_c import FamilyC
@@ -181,7 +181,7 @@ def _verify_oracle(args, parser) -> int:
                 unsound += 1
             moves.append((i, j, None))
     # the down-sets of the order the moves generate, by the poset's own pass
-    back = OrbitPoset(poset.meta, poset.orbits, poset.dims, moves).down
+    back = OrbitPoset(poset.meta, poset.orbits, poset.dims, Covers.of(moves)).down
     missing = sum((down & ~b).bit_count() for down, b in zip(poset.down, back))
     ok = unsound == 0
     print(

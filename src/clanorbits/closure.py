@@ -6,13 +6,18 @@ simple roots.  The full closure order follows from it by one identity
 covers of v are the nodes s raises to v and the nodes s raises the lower
 covers of u to.  Covers that the identity adds to the weak edges are
 marked "completed" (the dashed edges of closure diagrams).  The weak-order
-walk numbers the orbits, one dimension layer at a time, by text.
+walk numbers the orbits, one dimension layer at a time, by text.  Covers
+are held as `Covers`, int columns.
 
 Family objects plugged into `build_poset` follow `clanorbits.family.Family`.
 """
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_left
+from itertools import chain, islice
+from operator import eq, lt
 from typing import TYPE_CHECKING, Callable, Container, Iterable, Sequence
 
 from .clans import Clan
@@ -116,16 +121,61 @@ def raising_moves_oracle(clan: Clan) -> set[Clan]:
     return out
 
 
+class Covers:
+    """Labeled covers as three columns of one length: orbit ids `lo` and
+    `hi` as `array('i')`, 4 bytes each, and `root`, the 1-based simple-root
+    label of a weak-order edge or None for an edge added by completion.
+    Iterating is a lazy view of the (lo, hi, root) triples; covers are
+    equal when their columns are."""
+
+    __slots__ = ("lo", "hi", "root")
+
+    def __init__(self, lo=(), hi=(), root=()):
+        self.lo, self.hi, self.root = array("i", lo), array("i", hi), list(root)
+        if not len(self.lo) == len(self.hi) == len(self.root):
+            raise ConsistencyError("the cover columns differ in length")
+
+    @classmethod
+    def of(cls, triples: Iterable[tuple]) -> Covers:
+        """The covers of (lo, hi, root) triples, in canonical order: by
+        (lo, hi), a pair's labelled roots ascending.  A repeated cover, or
+        a None beside a label on one pair, is refused."""
+        try:
+            rows = sorted(triples)
+        except TypeError as exc:  # None beside a label does not compare
+            raise ConsistencyError(f"covers do not sort: {exc}") from None
+        if any(map(eq, rows, islice(rows, 1, None))):
+            last, cover = next((a, b) for a, b in zip(rows, rows[1:]) if a == b)
+            raise ConsistencyError(f"cover {cover} repeats the pair of {last}")
+        return cls(*zip(*rows))
+
+    def in_order(self) -> bool:
+        """Whether these covers are strictly in canonical order, with one
+        comparison per cover."""
+        try:
+            return all(map(lt, self, islice(self, 1, None)))
+        except TypeError:  # None beside a label
+            return False
+
+    def __len__(self) -> int:
+        return len(self.root)
+
+    def __iter__(self):
+        return zip(self.lo, self.hi, self.root)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Covers) and (self.lo, self.hi, self.root) == (
+            other.lo, other.hi, other.root)
+
+
 class OrbitPoset:
     """Graded orbit poset with labeled covers; reachability by one upward
     pass over the covers, sized to what is asked.
 
-    Covers are triples ``(lo, hi, root)`` of orbit ids; ``root`` is the
-    1-based simple-root label of a weak-order edge or ``None`` for an
-    edge added by completion.  They are sorted into the canonical order
-    (lo, hi, labelled roots ascending) by plain tuple order, which a list
-    already in that order, as a saved file lists it, passes with one
-    comparison per cover.
+    `covers` holds them as `Covers` in strict canonical order.  Covers
+    given in that order, as `complete_closure` gives them and a saved file
+    lists them, are kept after one comparison per cover; others are sorted
+    by `Covers.of`.
     ``members[i]`` lists the clans fused into node i (a single clan
     except on isogeny-quotient posets).  Ids rise with dimension:
     `weak_order_graph` numbers each dimension layer by text when the layer
@@ -136,48 +186,38 @@ class OrbitPoset:
     `down_over(ids)` gives each node its down-set restricted to `ids`.
     `closed_below` reads it over the closed nodes; the full down-sets
     `down`, Θ(N²) bits, are built at the first `le` (or the first read
-    of `down`) and kept.
+    of `down`) and kept.  The minima and maxima are the ids missing from
+    the hi and the lo column.
     """
 
     def __init__(self, meta: dict, orbits: Sequence[Clan], dims: Sequence[int],
-                 covers: Iterable[tuple], members=None):
+                 covers: Covers, members=None):
         self.meta = dict(meta)
         self.orbits = list(orbits)
         self.dims = list(dims)
-        self.covers = covers = list(covers)
-        try:  # plain tuple order is the canonical one
-            covers.sort()
-        except TypeError as exc:  # e.g. a pair with None beside a label, which `validate` refuses
-            raise ConsistencyError(f"covers do not sort: {exc}") from None
+        self.covers = covers = covers if covers.in_order() else Covers.of(covers)
         self.members = [tuple(m) for m in members] if members is not None \
             else [(c,) for c in self.orbits]
         self.member_index = {
             m: i for i, ms in enumerate(self.members) for m in ms
         }
-        n = len(self.orbits)
-        incoming: list[list[int]] = [[] for _ in range(n)]
-        outgoing = [0] * n
-        for lo, hi, _ in covers:
-            incoming[hi].append(lo)
-            outgoing[lo] += 1
-        self._incoming = incoming
-        self._minima = [i for i in range(n) if not incoming[i]]
-        self._maxima = [i for i in range(n) if not outgoing[i]]
+        lows, highs = set(covers.lo), set(covers.hi)
+        self._minima = [i for i in range(len(self.orbits)) if i not in highs]
+        self._maxima = [i for i in range(len(self.orbits)) if i not in lows]
         self._down: list[int] | None = None
         self._closed_down: list[int] | None = None
 
     def down_over(self, ids: Sequence[int]) -> list[int]:
         """Per node v, its down-set over `ids`: bit k is set when node
-        ids[k] lies below v (or is v).  One upward pass in id order, that
-        is by dimension; each node's bit is made when the pass reaches it."""
-        bit = {v: k for k, v in enumerate(ids)}
+        ids[k] lies below v (or is v).  One pass over the covers, each
+        pushing its lower end's set into its upper end's; exact because a
+        cover into lo starts at a lower id (ids rise with dimension), so in
+        lo order it comes first."""
         masks = [0] * len(self.orbits)
-        for v, below in enumerate(self._incoming):
-            k = bit.get(v)
-            d = 0 if k is None else 1 << k
-            for u in below:
-                d |= masks[u]
-            masks[v] = d
+        for k, v in enumerate(ids):
+            masks[v] = 1 << k
+        for lo, hi in zip(self.covers.lo, self.covers.hi):
+            masks[hi] |= masks[lo]
         return masks
 
     @property
@@ -235,33 +275,39 @@ class OrbitPoset:
 
     def validate(self, roots: Container[int] | None = None) -> None:
         """Check the covers, the grading, the id order and the extremes.
-        A cover joins two orbit ids, ints and not bools; its root is None or
-        a positive int, one of `roots` when they are given.  A (lo, hi) pair
-        carries one completed cover or labelled ones with distinct roots,
-        since completion never adds a pair the weak order has."""
-        dims = self.dims
-        allowed = None if roots is None else frozenset(roots)
-        last = (None, None, None)
-        for cover in self.covers:
-            lo, hi, root = cover
-            # an id past the end has already failed to index in `__init__`
-            if type(lo) is not int or type(hi) is not int or lo < 0 or hi < 0 or not (
-                    root is None or type(root) is int and root > 0
-                    and (allowed is None or root in allowed)):
-                raise ConsistencyError(f"cover {cover} has a bad id or a bad root")
-            # sorted covers list a pair's roots ascending; a None sorts only beside a None
-            if hi == last[1] and lo == last[0] and (root is None or root == last[2]):
-                raise ConsistencyError(f"cover {cover} repeats the pair of {last}")
-            last = cover
-            if dims[hi] != dims[lo] + 1:
-                raise NotGraded(
-                    f"cover {self.orbits[lo]} -> {self.orbits[hi]} jumps {dims[lo]} -> {dims[hi]}"
-                )
-        if dims != sorted(dims):
+        A cover joins two orbit ids; its root is None or a positive int, one
+        of `roots` when they are given.  Each check reads whole columns; a
+        failed one then names the first cover with a bad id or root, else
+        the first off the grading."""
+        dims, n = self.dims, len(self.orbits)
+        lo, hi, root = self.covers.lo, self.covers.hi, self.covers.root
+        labels = {int, type(None)}.issuperset(map(type, root)) and set(root) - {None}
+        ok = labels is not False and min(labels, default=1) > 0 and (
+            roots is None or labels <= set(roots)) and dims == sorted(dims) and (
+            not lo or 0 <= lo[0] and lo[-1] < n)
+        # with ids rising with dimension, the covers out of dimension d are a
+        # run of the sorted lo column, and must all end at dimension d + 1
+        for d in sorted(set(dims)) if ok else ():
+            first, above, last = (bisect_left(dims, e) for e in (d, d + 1, d + 2))
+            i, j = bisect_left(lo, first), bisect_left(lo, above)
+            ok = i == j or above <= min(hi[i:j]) and max(hi[i:j]) < last
+            if not ok:
+                break
+        if not ok:
+            allowed = None if roots is None else frozenset(roots)
+            for cover in self.covers:
+                a, b, r = cover
+                if not (0 <= a < n and 0 <= b < n and (r is None or type(r) is int and r > 0
+                                                        and (allowed is None or r in allowed))):
+                    raise ConsistencyError(f"cover {cover} has a bad id or a bad root")
+            for a, b, _ in self.covers:
+                if dims[b] != dims[a] + 1:
+                    raise NotGraded(f"cover {self.orbits[a]} -> {self.orbits[b]} jumps "
+                                    f"{dims[a]} -> {dims[b]}")
             raise ConsistencyError("ids do not rise with dimension")
         # graded and finite: every node reaches a maximal one by covers,
         # so a single maximum lies above every node
-        if len(self.orbits) > 1 and len(self._maxima) != 1:
+        if n > 1 and len(self._maxima) != 1:
             raise ConsistencyError(f"{len(self._maxima)} maximal orbits, expected 1")
         for i in self._minima:
             for clan in self.members[i]:
@@ -331,8 +377,9 @@ def weak_order_graph(family: Family, max_orbits: int | None = None):
 
 
 def complete_closure(dims_by_id: Sequence[int],
-                     weak_edges: Iterable[tuple[int, int, int]]) -> list[tuple]:
-    """The weak edges and the covers that complete them, root None.
+                     weak_edges: Iterable[tuple[int, int, int]]) -> Covers:
+    """The weak edges and the covers that complete them, root None, in
+    canonical order.
 
     If root s raises u to v, the closure of v is the P_s-saturation of the
     closure of u (Richardson and Springer 1990, section 7).  On a graded
@@ -342,18 +389,27 @@ def complete_closure(dims_by_id: Sequence[int],
     lower covers: its weak lower ends plus those m(s)x.  The nodes are
     visited by id, which rises with dimension, so u's lower covers are
     complete when v reads them.  A weak pair keeps its labels; each
-    added cover is checked for the +1 grading.
+    added cover is checked for the +1 grading.  As v is visited, it is
+    listed as an upper end under each of its lower covers, so read off node
+    by node the covers come in canonical order, a pair's labels in the
+    order of its weak edges.
     """
     lower: list[list[int]] = [[] for _ in dims_by_id]
+    lower_roots: list[list[int] | None] = [[] for _ in dims_by_id]  # beside the weak lower ends
+    upper: list[list[int | None]] = [[] for _ in dims_by_id]  # upper end, root, upper end, ...
     weak_up: list[dict[int, int]] = [{} for _ in dims_by_id]
     # one weak edge (u, s) into each node; a minimum reads its own (empty) lower covers
     into: list[tuple[int, int | None]] = [(v, None) for v in range(len(dims_by_id))]
-    triples: list[tuple] = list(weak_edges)
-    for lo, hi, root in triples:
+    for lo, hi, root in weak_edges:
         lower[hi].append(lo)
+        lower_roots[hi].append(root)
         weak_up[lo][root] = hi
         into[hi] = (lo, root)
     for v, (u, s) in enumerate(into):
+        for x, root in zip(lower[v], lower_roots[v]):
+            upper[x].append(v)
+            upper[x].append(root)
+        lower_roots[v] = None  # read once: freed now, it stays out of the build peak
         seen = set(lower[v])
         for w in (weak_up[x].get(s) for x in lower[u]):
             if w is not None and w not in seen:
@@ -361,8 +417,14 @@ def complete_closure(dims_by_id: Sequence[int],
                     raise NotGraded("completion produced a non-grading edge")
                 seen.add(w)
                 lower[v].append(w)
-                triples.append((w, v, None))
-    return triples
+                upper[w].append(v)
+                upper[w].append(None)
+    del lower, lower_roots, weak_up, into  # freed before the columns are made
+    lo = array("i", [x for x, ups in enumerate(upper) for _ in range(0, len(ups), 2)])
+    hi = array("i", list(islice(chain.from_iterable(upper), 0, None, 2)))
+    root = list(islice(chain.from_iterable(upper), 1, None, 2))
+    del upper
+    return Covers(lo, hi, root)
 
 
 def build_poset(family: Family, max_orbits: int | None = None) -> OrbitPoset:
@@ -403,7 +465,8 @@ def quotient_poset(poset: OrbitPoset, fold: Callable[[Clan], Clan] | None,
         new_id[i] = new_id[image[i]] = k
     covers = {(new_id[lo], new_id[hi], root) for lo, hi, root in poset.covers}
     folded = OrbitPoset(
-        {**poset.meta, "level": level}, [orbits[i] for i in reps], [dims[i] for i in reps], covers,
+        {**poset.meta, "level": level}, [orbits[i] for i in reps], [dims[i] for i in reps],
+        Covers.of(covers),
         [(orbits[i],) if image[i] == i else (orbits[i], orbits[image[i]]) for i in reps])
     folded.validate()
     return folded

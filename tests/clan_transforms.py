@@ -24,7 +24,7 @@ from collections import deque
 
 from clanorbits import Clan, enumerate_clans, negate
 from clanorbits.clans import MINUS, PLUS, _check_length, mirror_doubles
-from clanorbits.closure import OrbitPoset, _move
+from clanorbits.closure import Covers, OrbitPoset, _move
 from clanorbits.errors import ConsistencyError, MalformedToken, NotGraded
 
 
@@ -151,7 +151,7 @@ def quotient_by_clans(poset: OrbitPoset, fold, level: str) -> OrbitPoset:
     meta = dict(poset.meta)
     meta["level"] = level
     folded = OrbitPoset(meta, reps, dims,
-                        cover_ids, [sorted(members[r]) for r in reps])
+                        Covers.of(cover_ids), [sorted(members[r]) for r in reps])
     folded.validate()
     return folded
 

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import sys
+from array import array
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,7 +20,7 @@ from clanorbits import (
     weak_order_graph,
 )
 from clanorbits.cache import load_poset, save_poset
-from clanorbits.closure import OrbitPoset, _move, complete_closure
+from clanorbits.closure import Covers, OrbitPoset, _move, complete_closure
 from clanorbits.errors import ConsistencyError, InvalidRoot, NotGraded, RankTooLarge, UnknownOrbit
 from clanorbits.family import SIGN_FLIP_LEVELS
 from clanorbits.family_d import ISOGENY_LEVELS_D
@@ -153,7 +156,7 @@ def test_build_matches_the_raise_by_walk_and_queue_closure(family):
     assert [(orbits[lo], orbits[hi], r) for lo, hi, r in edges] == want_edges
     poset = build_poset(family)
     assert poset.orbits == orbits and poset.dims == dims
-    want = OrbitPoset(poset.meta, orbits, dims, queue_closure(dims, edges))
+    want = OrbitPoset(poset.meta, orbits, dims, Covers.of(queue_closure(dims, edges)))
     assert poset.covers == want.covers
 
 
@@ -262,7 +265,7 @@ def test_validate_rejects_ids_that_do_not_rise_with_dimension(poset_a22):
     last = len(poset_a22) - 1
     flipped = OrbitPoset(
         poset_a22.meta, poset_a22.orbits[::-1], poset_a22.dims[::-1],
-        [(last - lo, last - hi, root) for lo, hi, root in poset_a22.covers])
+        Covers.of((last - lo, last - hi, root) for lo, hi, root in poset_a22.covers))
     with pytest.raises(ConsistencyError, match="ids do not rise with dimension"):
         flipped.validate()
 
@@ -273,7 +276,7 @@ def test_validate_rejects_two_maxima(poset_a22):
     top = poset_a22.id_of(poset_a22.open_orbit())
     cut = [e for e in poset_a22.covers if e[1] != top]  # the top stands alone
     with pytest.raises(ConsistencyError, match="maximal orbits"):
-        OrbitPoset({"family": "a"}, poset_a22.orbits, poset_a22.dims, cut).validate()
+        OrbitPoset({"family": "a"}, poset_a22.orbits, poset_a22.dims, Covers.of(cut)).validate()
 
 
 # --------------------------------------------------------- reachability
@@ -323,6 +326,65 @@ def test_down_over_restricts_the_down_sets(poset_a33):
     for j, below in enumerate(searched):
         assert [masks[j] >> k & 1 for k in range(len(ids))] == [i in below for i in ids]
     assert poset_a33.down_over([]) == [0] * len(poset_a33)
+
+
+def test_covers_are_int_columns_at_a44(ambient_a44, tmp_path):
+    """The covers are held as `array('i')` id columns and a root list, 16
+    bytes per cover in all (beside the three object headers), built or
+    loaded; the columns list the covers in canonical order."""
+    loaded = load_poset(save_poset(ambient_a44, tmp_path / "a44.json"))
+    for poset in (ambient_a44, loaded):
+        lo, hi, root = poset.covers.lo, poset.covers.hi, poset.covers.root
+        assert isinstance(lo, array) and isinstance(hi, array)
+        assert lo.typecode == hi.typecode == "i" and type(root) is list
+        size = sys.getsizeof(lo) + sys.getsizeof(hi) + sys.getsizeof(root)
+        assert size <= 16 * len(poset.covers) + 256
+    assert loaded.covers == ambient_a44.covers
+
+
+def test_covers_view_yields_canonical_triples(poset_a22):
+    """`covers` is a lazy view: `len` and iteration give the
+    (lo, hi, root) triples in canonical order, None on a completed cover."""
+    rows = list(poset_a22.covers)
+    assert len(poset_a22.covers) == len(rows) == 39  # 33 weak edges, 6 completed
+    assert all(type(e) is tuple and len(e) == 3 for e in rows)
+    assert rows == sorted(rows) and len(set(rows)) == len(rows)
+    assert sum(1 for e in rows if e[2] is None) == len(poset_a22.completed_covers()) == 6
+    assert {e[2] for e in rows} == {None, 1, 2, 3}
+
+
+def pulled_down_sets(poset) -> list[int]:
+    """Each node's full down-set as a mask, pulled from its lower covers
+    node by node in id order: a pass that shares no order with the push
+    of `down_over` over the lo-sorted columns."""
+    incoming = [[] for _ in poset.orbits]
+    for lo, hi, _ in poset.covers:
+        incoming[hi].append(lo)
+    masks = []
+    for v, below in enumerate(incoming):
+        d = 1 << v
+        for u in below:
+            d |= masks[u]
+        masks.append(d)
+    return masks
+
+
+@pytest.mark.parametrize("family", ORACLE_FAMILIES, ids=repr)
+def test_down_over_matches_the_queue_closure_at_every_level(family):
+    """At every isogeny level, the down-sets `down_over` pushes over the
+    sorted cover columns are those of the queue closure folded by clans."""
+    orbits, edges, dims = weak_order_graph(family)
+    base = build_poset(family)
+    oracle = OrbitPoset(base.meta, orbits, dims, Covers.of(queue_closure(dims, edges)))
+    for level in ISOGENY_LEVELS_D if family.name == "d" else SIGN_FLIP_LEVELS:
+        fold = family.isogeny_fold(level)
+        view, want = quotient_poset(base, fold, level), quotient_by_clans(oracle, fold, level)
+        assert view.orbits == want.orbits, level
+        pulled = pulled_down_sets(want)
+        assert view.down_over(range(len(view))) == pulled, level
+        closed = view._minima
+        got = view.down_over(closed)
+        assert got == [sum((d >> i & 1) << k for k, i in enumerate(closed)) for d in pulled], level
 
 
 # ------------------------------------------------------------ quotients
@@ -380,7 +442,7 @@ def test_quotient_numbers_classes_by_text_within_a_rank(family):
     new = [start[d] + stop[d] - 1 - i for i, d in enumerate(base.dims)]
     order = sorted(range(len(base)), key=new.__getitem__)
     shuffled = OrbitPoset(base.meta, [base.orbits[i] for i in order], base.dims,
-                          [(new[lo], new[hi], root) for lo, hi, root in base.covers])
+                          Covers.of((new[lo], new[hi], root) for lo, hi, root in base.covers))
     shuffled.validate()
     assert shuffled.orbits != base.orbits
     fold = family.isogeny_fold("adjoint")
