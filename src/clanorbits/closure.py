@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
-from itertools import chain, islice
+from itertools import chain, compress, islice
 from operator import eq, lt
 from typing import TYPE_CHECKING, Callable, Container, Iterable, Sequence
 
@@ -25,6 +25,8 @@ from .errors import ConsistencyError, NotGraded, RankTooLarge, UnknownOrbit
 
 if TYPE_CHECKING:
     from .family import Family
+
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")  # binary digits to the bytes 0 and 1
 
 
 def _swap(code: tuple, u: int, v: int) -> tuple:
@@ -183,11 +185,14 @@ class OrbitPoset:
     `validate` checks it, and `down_over`, `complete_closure` and
     `cli.poset_dot` walk ids instead of sorting.
 
+    `member_index` maps the code tuple of every member to its node id,
+    so a lookup hashes in C.
+
     `down_over(ids)` gives each node its down-set restricted to `ids`.
-    `closed_below` reads it over the closed nodes; the full down-sets
-    `down`, Θ(N²) bits, are built at the first `le` (or the first read
-    of `down`) and kept.  The minima and maxima are the ids missing from
-    the hi and the lo column.
+    The full down-sets `down`, Θ(N²) bits, are built at the first `le`
+    (or the first read of `down`) and kept; `closed_below` reads them
+    when they exist, else a down-set over the closed nodes.  The minima
+    and maxima are the ids missing from the hi and the lo column.
     """
 
     def __init__(self, meta: dict, orbits: Sequence[Clan], dims: Sequence[int],
@@ -199,11 +204,12 @@ class OrbitPoset:
         self.members = [tuple(m) for m in members] if members is not None \
             else [(c,) for c in self.orbits]
         self.member_index = {
-            m: i for i, ms in enumerate(self.members) for m in ms
+            m.code: i for i, ms in enumerate(self.members) for m in ms
         }
         lows, highs = set(covers.lo), set(covers.hi)
         self._minima = [i for i in range(len(self.orbits)) if i not in highs]
         self._maxima = [i for i in range(len(self.orbits)) if i not in lows]
+        self._closed_mask = sum(1 << i for i in self._minima)
         self._down: list[int] | None = None
         self._closed_down: list[int] | None = None
 
@@ -232,21 +238,35 @@ class OrbitPoset:
 
     def id_of(self, clan: Clan) -> int:
         try:
-            return self.member_index[clan]
-        except KeyError:
+            return self.member_index[clan.code]
+        except (KeyError, AttributeError):  # not one of these clans, or not a clan
             raise UnknownOrbit(f"{clan} is not an orbit of this poset") from None
 
     def le_ids(self, i: int, j: int) -> bool:
-        # `le` is the hot query: a plain attribute read, and no test on
-        # the path once the down-sets exist (a try block costs nothing)
+        """Whether id i lies below id j; an id outside range(N) is refused.
+        A one-bit mask, O(i) bits: `springer_report` asks it of a closed
+        node, a low id, where a shift would copy the whole down-set."""
+        if not (0 <= i < len(self.orbits) and 0 <= j < len(self.orbits)):
+            raise UnknownOrbit(f"({i}, {j}) are not both orbit ids of this poset")
+        try:
+            return bool(self._down[j] & 1 << i)
+        except TypeError:  # `_down` is None before the first query
+            return bool(self.down[j] & 1 << i)
+
+    def le(self, a: Clan, b: Clan) -> bool:
+        """Closure containment: the orbit of `a` lies in the closure of `b`.
+        The hot query, in one frame: two lookups of code tuples, hashed in
+        C, and a plain attribute read with no test once the down-sets
+        exist (a try block costs nothing)."""
+        index = self.member_index
+        try:
+            i, j = index[a.code], index[b.code]
+        except (KeyError, AttributeError):
+            i, j = self.id_of(a), self.id_of(b)  # raises UnknownOrbit
         try:
             return bool(self._down[j] >> i & 1)
         except TypeError:  # `_down` is None before the first query
             return bool(self.down[j] >> i & 1)
-
-    def le(self, a: Clan, b: Clan) -> bool:
-        """Closure containment: the orbit of `a` lies in the closure of `b`."""
-        return self.le_ids(self.id_of(a), self.id_of(b))
 
     def dim_of(self, clan: Clan) -> int:
         return self.dims[self.id_of(clan)]
@@ -260,15 +280,20 @@ class OrbitPoset:
         return self.orbits[self._maxima[0]]
 
     def closed_below(self, clan: Clan) -> list[Clan]:
-        """The closed orbits below `clan`, read off the down-sets over the
-        closed nodes (built at the first call, N bits per closed node)."""
+        """The closed orbits below `clan`, lowest id first: its full
+        down-set masked to the closed ids when the full down-sets exist,
+        else its down-set over the closed nodes (built at the first call,
+        N bits per closed node)."""
         j = self.id_of(clan)
-        if self._closed_down is None:
-            self._closed_down = self.down_over(self._minima)
-        # the mask read once, as its binary digits lowest first, beside the
-        # closed ids: no shift of the mask per closed node
-        bits = bin(self._closed_down[j])[:1:-1]
-        return [self.orbits[i] for i, bit in zip(self._minima, bits) if bit == "1"]
+        if self._down is not None:  # bit i stands for orbit i
+            orbits, mask = self.orbits, self._down[j] & self._closed_mask
+        else:  # bit k stands for the k-th closed orbit
+            if self._closed_down is None:
+                self._closed_down = self.down_over(self._minima)
+            orbits, mask = self.minima(), self._closed_down[j]
+        # the mask read once, as its binary digits lowest first, each made a
+        # 0 or 1 byte for `compress`: no shift of the mask per closed node
+        return list(compress(orbits, bin(mask)[:1:-1].encode().translate(_BIT_BYTES)))
 
     def completed_covers(self) -> list[tuple]:
         return [e for e in self.covers if e[2] is None]
@@ -450,7 +475,7 @@ def quotient_poset(poset: OrbitPoset, fold: Callable[[Clan], Clan] | None,
     if fold is None:
         return poset
     orbits, dims = poset.orbits, poset.dims
-    image = [poset.member_index.get(fold(c)) for c in orbits]
+    image = [poset.member_index.get(fold(c).code) for c in orbits]
     if None in image:
         raise ConsistencyError(f"fold image {fold(orbits[image.index(None)])} left the orbit set")
     for i, j in enumerate(image):

@@ -139,7 +139,7 @@ def compare_fixture(fx: Fixture, family=None, poset: OrbitPoset | None = None) -
     diffs: list[str] = []
 
     def key(clan: Clan) -> Clan:
-        i = poset.member_index.get(clan)
+        i = poset.member_index.get(clan.code)
         return clan if i is None else poset.orbits[i]
 
     fixture_vertices = {key(v) for v in fx.vertices}

@@ -14,12 +14,13 @@ inequality.
 Both counts start from one raise loop, `Family.raised`: the noncompact
 roots of a closed orbit, each with the orbit it raises that orbit to,
 computed once per closed orbit and family object.  `raised_nodes` maps
-those orbits to the nodes of one poset and checks that each lies
-strictly higher.  `springer_report` keeps the roots whose node lies
-below one orbit and lists them: it is the explain path and the oracle
-of the tests.  It reads the orbit's down-set once and tests each low id
-(a closed node, its raises) against a one-bit mask, O(id) bits, where
-`le_ids` would shift the whole down-set per test.  `cross_validate`
+those orbits to the nodes of one poset, one lookup of each code in the
+poset's `member_index`, and checks that each lies strictly higher.
+`springer_report` keeps the roots whose node lies below one orbit and
+lists them: it is the explain path and the oracle of the tests.  It
+asks `le_ids` whether the closed node lies below, then reads the orbit's
+down-set once and tests each raised node against a one-bit mask, O(id)
+bits, where a shift would copy the whole down-set per test.  `cross_validate`
 checks every orbit against the pattern-based classifiers without the
 full down-sets.  It reads only the landmarks:
 the closed nodes and the nodes their roots raise them to.
@@ -41,7 +42,7 @@ from dataclasses import dataclass
 
 from .clans import Clan
 from .closure import OrbitPoset
-from .errors import ConsistencyError, NotBelow
+from .errors import ConsistencyError, NotBelow, UnknownOrbit
 from .family import Family, Root
 
 
@@ -68,11 +69,13 @@ class SpringerReport:
 def raised_nodes(family: Family, poset: OrbitPoset, cid: int) -> list[tuple[Root, int]]:
     """(root, node id) for each noncompact root of the closed node `cid`
     and the node it raises `cid` to, which must lie strictly higher."""
-    closed = poset.orbits[cid]
+    closed, index, dims = poset.orbits[cid], poset.member_index, poset.dims
     out = []
     for root, orbit in family.raised(closed):
-        mid = poset.id_of(orbit)
-        if poset.dims[mid] <= poset.dims[cid]:
+        mid = index.get(orbit.code)
+        if mid is None:
+            raise UnknownOrbit(f"{orbit} is not an orbit of this poset")
+        if dims[mid] <= dims[cid]:
             raise ConsistencyError(f"raising root {root} failed to raise {closed}")
         out.append((root, mid))
     return out
@@ -85,9 +88,9 @@ def springer_report(family: Family, poset: OrbitPoset, orbit: Clan,
     oid = poset.id_of(orbit)
     cid = poset.id_of(closed)
     raised = raised_nodes(family, poset, cid)
-    down = poset.down[oid]
-    if not down & 1 << cid:
+    if not poset.le_ids(cid, oid):
         raise NotBelow(f"{closed} does not lie below {orbit}")
+    down = poset.down[oid]
     gap = poset.dims[oid] - poset.dims[cid]
     roots = tuple(root for root, mid in raised if down & 1 << mid)
     return SpringerReport(orbit, poset.orbits[cid], roots, len(roots), gap, len(roots) > gap)

@@ -132,7 +132,7 @@ def quotient_by_clans(poset: OrbitPoset, fold, level: str) -> OrbitPoset:
     rep: dict[Clan, Clan] = {}
     for c in poset.orbits:
         image = fold(c)
-        if image not in poset.member_index:
+        if image.code not in poset.member_index:
             raise ConsistencyError(f"fold image {image} left the orbit set")
         if poset.dim_of(image) != poset.dim_of(c):
             raise ConsistencyError("fold does not preserve dimension")

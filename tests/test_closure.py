@@ -17,6 +17,7 @@ from clanorbits import (
     parse_clan,
     quotient_poset,
     raising_moves_oracle,
+    springer_report,
     weak_order_graph,
 )
 from clanorbits.cache import load_poset, save_poset
@@ -232,8 +233,26 @@ def test_order_queries(poset_a33, poset_a22):
     assert set(poset_a22.closed_below(g)) == set(poset_a22.minima())
     assert poset_a22.closed_below(P("+,-,-,+")) == [P("+,-,-,+")]
     assert set(poset_a22.closed_below(P("1,1,+,-"))) == {P("+,-,+,-"), P("-,+,+,-")}
-    with pytest.raises(UnknownOrbit):
-        poset_a22.le(P("+,-"), g)
+    # a clan of another length, or a value that is no clan (the index is
+    # keyed by code tuples), is refused by every query
+    fa, closed = FamilyA(2, 2), P("+,-,-,+")
+    for stranger in (P("+,-"), "1,2,1,2", g.code, None):
+        for query in (lambda: poset_a22.le(stranger, g), lambda: poset_a22.le(g, stranger),
+                      lambda: poset_a22.id_of(stranger), lambda: poset_a22.closed_below(stranger),
+                      lambda: springer_report(fa, poset_a22, stranger, closed),
+                      lambda: springer_report(fa, poset_a22, g, stranger)):
+            with pytest.raises(UnknownOrbit):
+                query()
+
+
+def test_le_ids_refuses_ids_outside_the_poset(poset_a22):
+    """An id outside range(N) is no orbit: not read off another node's
+    down-set, as -1 would read the last one."""
+    assert len(poset_a22) == 21
+    for i, j in ((0, -1), (26, 20), (-1, 3), (0, 21), (21, 21), (-21, 0)):
+        with pytest.raises(UnknownOrbit):
+            poset_a22.le_ids(i, j)
+    assert poset_a22.le_ids(0, 20) and not poset_a22.le_ids(20, 0)
 
 
 def test_minima_are_the_closed_orbits(poset_a22):
@@ -298,25 +317,39 @@ def searched_down_sets(poset) -> list[set[int]]:
     return out
 
 
-def test_full_down_sets_wait_for_the_first_le(tmp_path):
-    family = FamilyD(4)
+@pytest.mark.parametrize("family", ORACLE_FAMILIES, ids=repr)
+def test_full_down_sets_wait_for_the_first_le(family, tmp_path):
+    """On the base poset, built and loaded, and on every folded isogeny
+    view: `closed_below` and `cross_validate` build no full down-sets.
+    After the first `le`, `closed_below` reads the full down-sets and builds
+    none over the closed nodes.  On both paths it gives the closed orbits
+    of the searched down-set, lowest id first, and every member of every
+    class resolves to its class id."""
     base = build_poset(family)
-    folded = quotient_poset(base, family.isogeny_fold("adjoint"), "adjoint")
-    loaded = load_poset(save_poset(base, tmp_path / "d4.json"))
-    posets = (base, folded, loaded)
-    for poset in posets:
+    folds = [(level, family.isogeny_fold(level)) for level in family.levels]
+
+    def views(poset):
+        return [poset] + [quotient_poset(poset, fold, level) for level, fold in folds if fold]
+
+    lazy, eager = views(base), views(load_poset(save_poset(base, tmp_path / "base.json")))
+    for poset in lazy:
         for orbit in poset.orbits:
             poset.closed_below(orbit)
         cross_validate(family, poset)
         assert poset._down is None
-    for poset in posets:
+    for before, poset in zip(lazy, eager):
         searched = searched_down_sets(poset)
         closed = set(map(poset.id_of, poset.minima()))
         assert poset.le(poset.orbits[0], poset.orbits[0]) and poset._down is not None
         for j, below in enumerate(searched):
-            assert {i for i in range(len(poset)) if poset.le_ids(i, j)} == below
-            got = list(map(poset.id_of, poset.closed_below(poset.orbits[j])))
-            assert got == sorted(below & closed)  # lowest id first
+            assert poset.down[j].bit_count() == len(below)
+            assert all(poset.le_ids(i, j) for i in below)
+            want = sorted(below & closed)  # lowest id first
+            assert list(map(poset.id_of, poset.closed_below(poset.orbits[j]))) == want
+            assert list(map(before.id_of, before.closed_below(before.orbits[j]))) == want
+        assert poset._closed_down is None
+        for view in (before, poset):
+            assert all(view.id_of(m) == i for i, ms in enumerate(view.members) for m in ms)
 
 
 def test_down_over_restricts_the_down_sets(poset_a33):
@@ -326,6 +359,21 @@ def test_down_over_restricts_the_down_sets(poset_a33):
     for j, below in enumerate(searched):
         assert [masks[j] >> k & 1 for k in range(len(ids))] == [i in below for i in ids]
     assert poset_a33.down_over([]) == [0] * len(poset_a33)
+
+
+def test_closed_below_reads_minima_above_the_lowest_ids():
+    """A minimum need not be a low id: in this graded order node 3 (one
+    dimension up) has no lower cover.  `closed_below` gives the same
+    minima, lowest id first, before and after the full down-sets exist."""
+    orbits = [P(t) for t in ("+,-", "-,+", "1,1", "+,+", "-,-")]
+    poset = OrbitPoset({}, orbits, [0, 0, 1, 1, 2],
+                       Covers.of([(0, 2, 1), (2, 4, 1), (3, 4, None)]))
+    want = [[orbits[0]], [orbits[1]], [orbits[0]], [orbits[3]], [orbits[0], orbits[3]]]
+    assert poset._minima == [0, 1, 3]
+    assert [poset.closed_below(c) for c in orbits] == want and poset._down is None
+    poset.down
+    poset._closed_down = None
+    assert [poset.closed_below(c) for c in orbits] == want and poset._closed_down is None
 
 
 def test_covers_are_int_columns_at_a44(ambient_a44, tmp_path):

@@ -194,7 +194,7 @@ def test_verdicts_check_every_class_member(monkeypatch, poset_c22):
     monkeypatch.setattr(FamilyC, "classify",
                         lambda self, clan: classify(self, clan) != (clan == odd_one))
     folded = quotient_poset(poset_c22, fc.isogeny_fold("adjoint"), "adjoint")
-    assert odd_one in folded.member_index and odd_one not in folded.orbits
+    assert odd_one.code in folded.member_index and odd_one not in folded.orbits
     for check in (
         lambda: orbit_rows(fc, folded),
         lambda: poset_dot(fc, folded),
