@@ -170,6 +170,26 @@ class Covers:
             other.lo, other.hi, other.root)
 
 
+class DownSets:
+    """Read-only view of the full down-sets held as byte rows: `len`, an
+    index giving down-set j as an int (bit i set when i <= j), and lazy
+    iteration, one int at a time, so no list of N ints is ever made."""
+
+    __slots__ = ("_rows",)
+
+    def __init__(self, rows: list[bytes]):
+        self._rows = rows
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, j: int) -> int:
+        return int.from_bytes(self._rows[j], "little")
+
+    def __iter__(self):
+        return (int.from_bytes(row, "little") for row in self._rows)
+
+
 class OrbitPoset:
     """Graded orbit poset with labeled covers; reachability by one upward
     pass over the covers, sized to what is asked.
@@ -189,10 +209,13 @@ class OrbitPoset:
     so a lookup hashes in C.
 
     `down_over(ids)` gives each node its down-set restricted to `ids`.
-    The full down-sets `down`, Θ(N²) bits, are built at the first `le`
-    (or the first read of `down`) and kept; `closed_below` reads them
-    when they exist, else a down-set over the closed nodes.  The minima
-    and maxima are the ids missing from the hi and the lo column.
+    The full down-sets, Θ(N²) bits, are built at the first `le` (or the
+    first read of `down`) and kept as byte rows: row j holds bit i of
+    j's down-set in bit i & 7 of byte i >> 3, up to bit j (j // 8 + 1
+    bytes, as ids rise with dimension), so a query reads one byte in
+    O(1).  `down` views them as ints.  `closed_below` reads a row's
+    prefix when they exist, else a down-set over the closed nodes.  The
+    minima and maxima are the ids missing from the hi and the lo column.
     """
 
     def __init__(self, meta: dict, orbits: Sequence[Clan], dims: Sequence[int],
@@ -210,7 +233,8 @@ class OrbitPoset:
         self._minima = [i for i in range(len(self.orbits)) if i not in highs]
         self._maxima = [i for i in range(len(self.orbits)) if i not in lows]
         self._closed_mask = sum(1 << i for i in self._minima)
-        self._down: list[int] | None = None
+        self._closed_bytes = self._minima[-1] // 8 + 1 if self._minima else 0
+        self._down: list[bytes] | None = None
         self._closed_down: list[int] | None = None
 
     def down_over(self, ids: Sequence[int]) -> list[int]:
@@ -226,12 +250,28 @@ class OrbitPoset:
             masks[hi] |= masks[lo]
         return masks
 
-    @property
-    def down(self) -> list[int]:
-        """The full down-sets: bit i of down[j] is set when i <= j."""
+    def _rows(self) -> list[bytes]:
+        """The full down-sets as byte rows, pushed at the first call and
+        converted in place, so one int at a time lives beside its row."""
         if self._down is None:
-            self._down = self.down_over(range(len(self.orbits)))
+            rows = self.down_over(range(len(self.orbits)))
+            for j, mask in enumerate(rows):
+                rows[j] = mask.to_bytes(j // 8 + 1, "little")
+            self._down = rows
         return self._down
+
+    def row(self, j: int) -> bytes:
+        """Row j of the full down-sets: bit i & 7 of byte i >> 3 is set
+        when i <= j; there are no bytes past bit j."""
+        try:
+            return self._down[j]
+        except TypeError:  # `_down` is None before the first query
+            return self._rows()[j]
+
+    @property
+    def down(self) -> DownSets:
+        """The full down-sets as ints: bit i of down[j] is set when i <= j."""
+        return DownSets(self._rows())
 
     def __len__(self) -> int:
         return len(self.orbits)
@@ -243,30 +283,29 @@ class OrbitPoset:
             raise UnknownOrbit(f"{clan} is not an orbit of this poset") from None
 
     def le_ids(self, i: int, j: int) -> bool:
-        """Whether id i lies below id j; an id outside range(N) is refused.
-        A one-bit mask, O(i) bits: `springer_report` asks it of a closed
-        node, a low id, where a shift would copy the whole down-set."""
-        if not (0 <= i < len(self.orbits) and 0 <= j < len(self.orbits)):
-            raise UnknownOrbit(f"({i}, {j}) are not both orbit ids of this poset")
-        try:
-            return bool(self._down[j] & 1 << i)
-        except TypeError:  # `_down` is None before the first query
-            return bool(self.down[j] & 1 << i)
+        """Whether id i lies below id j, by one byte of row j; an id that
+        is not an int in range(N) is refused (True is no id 1).  A lower
+        id never lies above a higher one, and i <= j keeps the read inside
+        the row."""
+        n = len(self.orbits)
+        if not (type(i) is int and type(j) is int and 0 <= i < n and 0 <= j < n):
+            raise UnknownOrbit(f"({i!r}, {j!r}) are not both orbit ids of this poset")
+        return i <= j and self.row(j)[i >> 3] >> (i & 7) & 1 == 1
 
     def le(self, a: Clan, b: Clan) -> bool:
         """Closure containment: the orbit of `a` lies in the closure of `b`.
         The hot query, in one frame: two lookups of code tuples, hashed in
-        C, and a plain attribute read with no test once the down-sets
-        exist (a try block costs nothing)."""
+        C, and the byte read of `le_ids` on a plain attribute, with no test
+        once the rows exist (a try block costs nothing)."""
         index = self.member_index
         try:
             i, j = index[a.code], index[b.code]
         except (KeyError, AttributeError):
             i, j = self.id_of(a), self.id_of(b)  # raises UnknownOrbit
         try:
-            return bool(self._down[j] >> i & 1)
+            return i <= j and self._down[j][i >> 3] >> (i & 7) & 1 == 1
         except TypeError:  # `_down` is None before the first query
-            return bool(self.down[j] >> i & 1)
+            return i <= j and self.row(j)[i >> 3] >> (i & 7) & 1 == 1
 
     def dim_of(self, clan: Clan) -> int:
         return self.dims[self.id_of(clan)]
@@ -280,13 +319,14 @@ class OrbitPoset:
         return self.orbits[self._maxima[0]]
 
     def closed_below(self, clan: Clan) -> list[Clan]:
-        """The closed orbits below `clan`, lowest id first: its full
-        down-set masked to the closed ids when the full down-sets exist,
-        else its down-set over the closed nodes (built at the first call,
-        N bits per closed node)."""
+        """The closed orbits below `clan`, lowest id first: its row up to
+        the byte of the highest closed id, masked to the closed ids, when
+        the full down-sets exist, else its down-set over the closed nodes
+        (built at the first call, N bits per closed node)."""
         j = self.id_of(clan)
         if self._down is not None:  # bit i stands for orbit i
-            orbits, mask = self.orbits, self._down[j] & self._closed_mask
+            prefix = self._down[j][:self._closed_bytes]
+            orbits, mask = self.orbits, int.from_bytes(prefix, "little") & self._closed_mask
         else:  # bit k stands for the k-th closed orbit
             if self._closed_down is None:
                 self._closed_down = self.down_over(self._minima)

@@ -18,9 +18,9 @@ those orbits to the nodes of one poset, one lookup of each code in the
 poset's `member_index`, and checks that each lies strictly higher.
 `springer_report` keeps the roots whose node lies below one orbit and
 lists them: it is the explain path and the oracle of the tests.  It
-asks `le_ids` whether the closed node lies below, then reads the orbit's
-down-set once and tests each raised node against a one-bit mask, O(id)
-bits, where a shift would copy the whole down-set per test.  `cross_validate`
+asks `le_ids` whether the closed node lies below, then tests each raised
+node by one byte of the orbit's row of the full down-sets
+(`OrbitPoset.row`), in O(1) per node.  `cross_validate`
 checks every orbit against the pattern-based classifiers without the
 full down-sets.  It reads only the landmarks:
 the closed nodes and the nodes their roots raise them to.
@@ -84,15 +84,17 @@ def raised_nodes(family: Family, poset: OrbitPoset, cid: int) -> list[tuple[Root
 def springer_report(family: Family, poset: OrbitPoset, orbit: Clan,
                     closed: Clan) -> SpringerReport:
     """Count the raising roots of `closed` that stay inside the closure
-    of `orbit`; the inequality s_size > dim_gap certifies a singularity."""
+    of `orbit`; the inequality s_size > dim_gap certifies a singularity.
+    A raised node counts when it is no higher an id than the orbit and
+    its bit is set in the orbit's byte row."""
     oid = poset.id_of(orbit)
     cid = poset.id_of(closed)
     raised = raised_nodes(family, poset, cid)
     if not poset.le_ids(cid, oid):
         raise NotBelow(f"{closed} does not lie below {orbit}")
-    down = poset.down[oid]
+    row = poset.row(oid)
     gap = poset.dims[oid] - poset.dims[cid]
-    roots = tuple(root for root, mid in raised if down & 1 << mid)
+    roots = tuple(root for root, mid in raised if mid <= oid and row[mid >> 3] >> (mid & 7) & 1)
     return SpringerReport(orbit, poset.orbits[cid], roots, len(roots), gap, len(roots) > gap)
 
 

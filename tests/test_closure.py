@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import sys
 from array import array
+from itertools import repeat
 
 import pytest
 from hypothesis import given, settings
@@ -22,9 +23,11 @@ from clanorbits import (
 )
 from clanorbits.cache import load_poset, save_poset
 from clanorbits.closure import Covers, OrbitPoset, _move, complete_closure
-from clanorbits.errors import ConsistencyError, InvalidRoot, NotGraded, RankTooLarge, UnknownOrbit
+from clanorbits.errors import (ConsistencyError, InvalidRoot, NotBelow, NotGraded, RankTooLarge,
+                               UnknownOrbit)
 from clanorbits.family import SIGN_FLIP_LEVELS
 from clanorbits.family_d import ISOGENY_LEVELS_D
+from clanorbits.springer import raised_nodes
 
 from clan_transforms import queue_closure, quotient_by_clans, raise_by_walk, simple_move_a
 
@@ -246,13 +249,118 @@ def test_order_queries(poset_a33, poset_a22):
 
 
 def test_le_ids_refuses_ids_outside_the_poset(poset_a22):
-    """An id outside range(N) is no orbit: not read off another node's
-    down-set, as -1 would read the last one."""
+    """An id outside range(N), or one that is not an int, is no orbit:
+    not read off another node's down-set, as -1 would read the last one
+    and True the row of id 1."""
     assert len(poset_a22) == 21
-    for i, j in ((0, -1), (26, 20), (-1, 3), (0, 21), (21, 21), (-21, 0)):
+    for i, j in ((0, -1), (26, 20), (-1, 3), (0, 21), (21, 21), (-21, 0), (1, True),
+                 (True, 1), (0.0, 1), (0, 1.0), (None, 0)):
         with pytest.raises(UnknownOrbit):
             poset_a22.le_ids(i, j)
     assert poset_a22.le_ids(0, 20) and not poset_a22.le_ids(20, 0)
+
+
+_BITS = bytes.maketrans(b"01", b"\0\1")
+
+
+def check_every_pair(poset, built=None, family=None):
+    """Check the queries on every pair against the int down-sets of
+    `down_over(range(N))`: `closed_below` before and after the rows exist;
+    with `built` None, `le` on every pair and, with a family,
+    `springer_report` on every (orbit, closed orbit) pair; else `le_ids`
+    on every pair.  The answer of `le` is a function of `member_index`
+    and the rows, so a loaded poset with both equal to those of the
+    built one it is checked against answers `le` alike."""
+    n, orbits, closed = len(poset), poset.orbits, poset._minima
+    ref = poset.down_over(range(n))
+    want = [[orbits[i] for i in closed if d >> i & 1] for d in ref]
+    assert poset._down is None
+    assert [poset.closed_below(o) for o in orbits] == want and poset._down is None
+    poset.down
+    poset._closed_down = None
+    assert [poset.closed_below(o) for o in orbits] == want and poset._closed_down is None
+    if built is not None:
+        assert poset._down == built._down and poset.member_index == built.member_index
+    for j, (d, b) in enumerate(zip(ref, orbits)):
+        got = map(poset.le, orbits, repeat(b, n)) if built is None else \
+            map(poset.le_ids, range(n), repeat(j, n))
+        assert bytes(got) == bin(d)[:1:-1].ljust(n, "0").encode().translate(_BITS), j
+    if built is not None or family is None:
+        return
+    for cid in closed:
+        hits, c = raised_nodes(family, poset, cid), orbits[cid]
+        for d, o in zip(ref, orbits):
+            try:
+                report = springer_report(family, poset, o, c)
+            except NotBelow:
+                assert not d >> cid & 1, (o, c)
+                continue
+            roots = tuple(root for root, mid in hits if d >> mid & 1)
+            assert d >> cid & 1 and report.roots == roots, (o, c)
+
+
+@pytest.mark.parametrize("family", ORACLE_FAMILIES, ids=repr)
+def test_queries_read_the_int_down_sets_on_every_pair(family, tmp_path):
+    """At every isogeny level, built and loaded from the cache, every
+    query agrees with the int down-sets on every pair (`check_every_pair`)."""
+    base = build_poset(family)
+    loaded = load_poset(save_poset(base, tmp_path / "base.json"))
+    seen = set()
+    for level in family.levels:
+        fold = family.isogeny_fold(level)
+        view = quotient_poset(base, fold, level)
+        if id(view) in seen:  # no fold at this level: the base poset itself
+            continue
+        seen.add(id(view))
+        check_every_pair(view, family=family)
+        check_every_pair(quotient_poset(loaded, fold, level), built=view)
+
+
+def test_queries_read_rows_across_byte_boundaries():
+    """A hand-made graded order of 20 nodes: minima at ids 9 and 13
+    besides the lowest layer, and covers across the byte boundaries 7/8
+    and 15/16, so `closed_below` cuts rows to two of their three bytes and
+    `le` reads i > j inside one byte."""
+    orbits = build_poset(FamilyA(2, 2)).orbits[:20]
+    dims = [0] * 5 + [1] * 6 + [2] * 6 + [3] * 3
+    covers = [(0, 5), (1, 5), (1, 6), (2, 7), (2, 8), (3, 8), (0, 10), (4, 10),
+              (5, 11), (5, 14), (6, 12), (7, 12), (7, 16), (8, 14), (9, 15), (10, 16),
+              (11, 17), (12, 17), (13, 18), (13, 19), (14, 18), (15, 19), (16, 19)]
+    poset = OrbitPoset({}, orbits, dims, Covers.of((lo, hi, None) for lo, hi in covers))
+    assert poset._minima == [0, 1, 2, 3, 4, 9, 13] and poset._closed_bytes == 2
+    searched = searched_down_sets(poset)
+    assert [set(d) for d in searched] == [
+        {i for i in range(20) if d >> i & 1} for d in poset.down_over(range(20))]
+    assert {7, 2} <= searched[16] and {15, 9, 13} <= searched[19] and 16 not in searched[17]
+    check_every_pair(poset)
+    check_every_pair(OrbitPoset({}, orbits, dims, poset.covers), built=poset)
+    assert [len(row) for row in poset._down] == [j // 8 + 1 for j in range(20)]
+    assert not poset.le(orbits[17], orbits[16]) and not poset.le_ids(9, 8)
+
+
+def test_down_view_and_a_flipped_row():
+    """`down` views the rows as the ints of `down_over(range(N))`: its
+    length, its index and its iteration, which is lazy, not a list.  One
+    flipped bit of one row changes the answers of `le` and
+    `springer_report`."""
+    family = FamilyA(2, 2)
+    poset = build_poset(family)
+    n, ref = len(poset), poset.down_over(range(len(poset)))
+    down = poset.down
+    assert len(down) == n and [down[j] for j in range(n)] == ref
+    walk = iter(down)
+    assert not isinstance(down, list) and iter(walk) is walk and next(walk) == ref[0]
+    assert list(walk) == ref[1:]
+    top, cid = n - 1, poset._minima[0]
+    mid = raised_nodes(family, poset, cid)[0][1]
+    orbit, closed = poset.orbits[top], poset.orbits[cid]
+    before = springer_report(family, poset, orbit, closed)
+    assert poset.le(poset.orbits[mid], orbit) and ref[top] >> mid & 1
+    row = bytearray(poset._down[top])
+    row[mid >> 3] ^= 1 << (mid & 7)
+    poset._down[top] = bytes(row)
+    assert not poset.le(poset.orbits[mid], orbit)
+    assert springer_report(family, poset, orbit, closed).s_size == before.s_size - 1
 
 
 def test_minima_are_the_closed_orbits(poset_a22):
