@@ -18,7 +18,7 @@ from array import array
 from bisect import bisect_left
 from itertools import chain, compress, islice
 from operator import eq, lt
-from typing import TYPE_CHECKING, Callable, Container, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Container, Iterable, Iterator, Sequence
 
 from .clans import Clan
 from .errors import ConsistencyError, NotGraded, RankTooLarge, UnknownOrbit
@@ -170,26 +170,6 @@ class Covers:
             other.lo, other.hi, other.root)
 
 
-class DownSets:
-    """Read-only view of the full down-sets held as byte rows: `len`, an
-    index giving down-set j as an int (bit i set when i <= j), and lazy
-    iteration, one int at a time, so no list of N ints is ever made."""
-
-    __slots__ = ("_rows",)
-
-    def __init__(self, rows: list[bytes]):
-        self._rows = rows
-
-    def __len__(self) -> int:
-        return len(self._rows)
-
-    def __getitem__(self, j: int) -> int:
-        return int.from_bytes(self._rows[j], "little")
-
-    def __iter__(self):
-        return (int.from_bytes(row, "little") for row in self._rows)
-
-
 class OrbitPoset:
     """Graded orbit poset with labeled covers; reachability by one upward
     pass over the covers, sized to what is asked.
@@ -213,7 +193,7 @@ class OrbitPoset:
     first read of `down`) and kept as byte rows: row j holds bit i of
     j's down-set in bit i & 7 of byte i >> 3, up to bit j (j // 8 + 1
     bytes, as ids rise with dimension), so a query reads one byte in
-    O(1).  `down` views them as ints.  `closed_below` reads a row's
+    O(1).  `down` yields them as ints, lazily.  `closed_below` reads a row's
     prefix when they exist, else a down-set over the closed nodes.  The
     minima and maxima are the ids missing from the hi and the lo column.
     """
@@ -269,9 +249,9 @@ class OrbitPoset:
             return self._rows()[j]
 
     @property
-    def down(self) -> DownSets:
-        """The full down-sets as ints: bit i of down[j] is set when i <= j."""
-        return DownSets(self._rows())
+    def down(self) -> Iterator[int]:
+        """The full down-sets as ints, lazily, no list: bit i of the j-th is set when i <= j."""
+        return (int.from_bytes(row, "little") for row in self._rows())
 
     def __len__(self) -> int:
         return len(self.orbits)
@@ -307,9 +287,6 @@ class OrbitPoset:
         except TypeError:  # `_down` is None before the first query
             return i <= j and self.row(j)[i >> 3] >> (i & 7) & 1 == 1
 
-    def dim_of(self, clan: Clan) -> int:
-        return self.dims[self.id_of(clan)]
-
     def minima(self) -> list[Clan]:
         return [self.orbits[i] for i in self._minima]
 
@@ -334,9 +311,6 @@ class OrbitPoset:
         # the mask read once, as its binary digits lowest first, each made a
         # 0 or 1 byte for `compress`: no shift of the mask per closed node
         return list(compress(orbits, bin(mask)[:1:-1].encode().translate(_BIT_BYTES)))
-
-    def completed_covers(self) -> list[tuple]:
-        return [e for e in self.covers if e[2] is None]
 
     def validate(self, roots: Container[int] | None = None) -> None:
         """Check the covers, the grading, the id order and the extremes.

@@ -12,12 +12,14 @@ of the two middle positions, apply the two lifted moves of root n-1,
 and conjugate back; no extra sign change.  Dimension is
 d(K) + (l - middle crossings)/2 with d(K) = n(n-1)/2.
 
-The outer involution `tau` flips all signs, after swapping the middle
+The outer involution tau flips all signs, after swapping the middle
 positions when n is odd; it realizes the diagram flip of rank-n
-closure diagrams.  Orbit sets at the four isogeny levels (simply
-connected, SO, the primed SO quotient, adjoint) coincide or, for even
-n, fold into sign-flip classes, as in types A and C: at the adjoint
-level, and at the primed SO quotient when n/2 is odd (`fold_levels`).
+closure diagrams.  Only the tests build it: at even n, where the
+package folds, it is the sign flip `negate`.  Orbit sets at the four
+isogeny levels (simply connected, SO, the primed SO quotient, adjoint)
+coincide or, for even n, fold into sign-flip classes, as in types A
+and C: at the adjoint level, and at the primed SO quotient when n/2 is
+odd (`fold_levels`).
 
 A closure is smooth iff the clan avoids the bad patterns or carries an
 exceptional fiber-bundle form (`fiber_form`): a pattern-avoiding flank
@@ -240,18 +242,6 @@ class FamilyD(MirrorFamily):
         if self.convention == "figure" and self.n % 2:
             return negate(base)
         return base
-
-    def tau(self, clan: Clan) -> Clan:
-        """The outer twist: flip every sign, after the middle swap when the
-        rank is odd.  The first half holds n entries, and the pair ends
-        among them come two at a time (a closed pair, or a crossing pair
-        with its mirror), so its signs number n mod 2 and the flip moves
-        the half parity by n.  The middle swap moves it by exactly one
-        (a sign changes, or a pair turns from closed to crossing or back),
-        so the image keeps the parity class at either rank."""
-        self._check(clan)
-        n = self.n
-        return negate(Clan(_swap(clan.code, n - 1, n)) if n % 2 else clan)
 
     _fiber_form = staticmethod(fiber_form_d)
 

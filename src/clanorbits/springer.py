@@ -14,8 +14,9 @@ inequality.
 Both counts start from one raise loop, `Family.raised`: the noncompact
 roots of a closed orbit, each with the orbit it raises that orbit to,
 computed once per closed orbit and family object.  `raised_nodes` maps
-those orbits to the nodes of one poset, one lookup of each code in the
-poset's `member_index`, and checks that each lies strictly higher.
+those orbits to the nodes of one poset by their codes (`member_index`),
+checks that each lies strictly higher, and keeps the answer in one table
+per poset and family object, once per closed node; both counts read it.
 `springer_report` keeps the roots whose node lies below one orbit and
 lists them: it is the explain path and the oracle of the tests.  It
 asks `le_ids` whether the closed node lies below, then tests each raised
@@ -25,7 +26,7 @@ checks every orbit against the pattern-based classifiers without the
 full down-sets.  It reads only the landmarks:
 the closed nodes and the nodes their roots raise them to.
 `raised_masks` folds each closed node's raised nodes into bitmasks over
-the landmarks once and takes every node's down-set over the landmarks
+the landmarks and takes every node's down-set over the landmarks
 (`OrbitPoset.down_over`), so the count for an orbit is a popcount of
 the two (`root_count`).  `rationally_smooth` and `SpringerReport.to_json`
 (with `Family.root_str`) are public API for library callers; the package calls neither.
@@ -39,6 +40,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from weakref import WeakKeyDictionary
 
 from .clans import Clan
 from .closure import OrbitPoset
@@ -66,9 +68,19 @@ class SpringerReport:
         }
 
 
-def raised_nodes(family: Family, poset: OrbitPoset, cid: int) -> list[tuple[Root, int]]:
+_TABLES: WeakKeyDictionary = WeakKeyDictionary()  # poset -> (family, {closed id: raised nodes})
+
+
+def raised_nodes(family: Family, poset: OrbitPoset, cid: int) -> tuple[tuple[Root, int], ...]:
     """(root, node id) for each noncompact root of the closed node `cid`
-    and the node it raises `cid` to, which must lie strictly higher."""
+    and the node it raises `cid` to, which must lie strictly higher:
+    mapped once per closed node and kept in the poset's table, which
+    another family object refills."""
+    owner, table = _TABLES.get(poset, (None, None))
+    if owner is not family:
+        _TABLES[poset] = family, (table := {})
+    if cid in table:
+        return table[cid]
     closed, index, dims = poset.orbits[cid], poset.member_index, poset.dims
     out = []
     for root, orbit in family.raised(closed):
@@ -78,6 +90,7 @@ def raised_nodes(family: Family, poset: OrbitPoset, cid: int) -> list[tuple[Root
         if dims[mid] <= dims[cid]:
             raise ConsistencyError(f"raising root {root} failed to raise {closed}")
         out.append((root, mid))
+    table[cid] = out = tuple(out)
     return out
 
 
@@ -85,8 +98,8 @@ def springer_report(family: Family, poset: OrbitPoset, orbit: Clan,
                     closed: Clan) -> SpringerReport:
     """Count the raising roots of `closed` that stay inside the closure
     of `orbit`; the inequality s_size > dim_gap certifies a singularity.
-    A raised node counts when it is no higher an id than the orbit and
-    its bit is set in the orbit's byte row."""
+    A raised node, read off the poset's table, counts when it is no higher
+    an id than the orbit and its bit is set in the orbit's byte row."""
     oid = poset.id_of(orbit)
     cid = poset.id_of(closed)
     raised = raised_nodes(family, poset, cid)
@@ -100,6 +113,7 @@ def springer_report(family: Family, poset: OrbitPoset, orbit: Clan,
 
 def rationally_smooth(family: Family, poset: OrbitPoset, orbit: Clan) -> bool:
     """True when no closed orbit below `orbit` violates the inequality."""
+    poset.row(poset.id_of(orbit))  # the rows the reports read, so `closed_below` reads them too
     return not any(
         springer_report(family, poset, orbit, cl).violated
         for cl in poset.closed_below(orbit)
@@ -111,10 +125,11 @@ def raised_masks(family: Family, poset: OrbitPoset) -> tuple[list[int], dict[int
     masks over the landmarks.
 
     The landmarks are the closed nodes, first and in id order, then the
-    nodes their noncompact roots raise them to; bit k of a mask stands
-    for the k-th landmark.  Bit k of the l-th layer (from 1) is set when
-    at least l roots raise the closed node to landmark k, so a node
-    counts once per root that reaches it, not once in all."""
+    nodes their noncompact roots raise them to, read off the poset's
+    table; bit k of a mask stands for the k-th landmark.  Bit k of the
+    l-th layer (from 1) is set when at least l roots raise the closed
+    node to landmark k, so a node counts once per root that reaches it,
+    not once in all."""
     raised = {cid: raised_nodes(family, poset, cid) for cid in map(poset.id_of, poset.minima())}
     landmarks = list(raised) + sorted({mid for hits in raised.values() for _, mid in hits})
     position = {v: k for k, v in enumerate(landmarks)}

@@ -16,7 +16,9 @@ The package reads the same order off one weak edge per node.
 representative per clan, member sets and a set of clan covers, renumbered
 by a dict.  The package folds on orbit ids.
 The clan parser keeps its earlier form too: every token checked and
-converted in turn, then paired through `Clan.from_symbols`."""
+converted in turn, then paired through `Clan.from_symbols`.
+Three readers only the tests ask for: the type-D outer twist `tau`, an
+orbit's dimension `dim_of` and a poset's `completed_covers`."""
 
 from __future__ import annotations
 
@@ -24,7 +26,7 @@ from collections import deque
 
 from clanorbits import Clan, enumerate_clans, negate
 from clanorbits.clans import MINUS, PLUS, _check_length, mirror_doubles
-from clanorbits.closure import Covers, OrbitPoset, _move
+from clanorbits.closure import Covers, OrbitPoset, _move, _swap
 from clanorbits.errors import ConsistencyError, MalformedToken, NotGraded
 
 
@@ -62,6 +64,28 @@ def mirror_clans(n: int, opposite: bool) -> list[Clan]:
     _check_length(2 * n)
     halves = (half for p in range(n, -1, -1) for half in enumerate_clans(p, n - p))
     return mirror_doubles(halves, opposite)
+
+
+def tau(family, clan: Clan) -> Clan:
+    """The outer twist of a type-D family: flip every sign, after the
+    middle swap when the rank is odd.  The first half holds n entries, and
+    the pair ends among them come two at a time (a closed pair, or a
+    crossing pair with its mirror), so its signs number n mod 2 and the
+    flip moves the half parity by n.  The middle swap moves it by exactly
+    one (a sign changes, or a pair turns from closed to crossing or back),
+    so the image keeps the parity class at either rank."""
+    family._check(clan)
+    n = family.n
+    return negate(Clan(_swap(clan.code, n - 1, n)) if n % 2 else clan)
+
+
+def dim_of(poset: OrbitPoset, clan: Clan) -> int:
+    return poset.dims[poset.id_of(clan)]
+
+
+def completed_covers(poset: OrbitPoset) -> list[tuple]:
+    """The covers completion added to the weak edges: root None."""
+    return [e for e in poset.covers if e[2] is None]
 
 
 def simple_move_a(clan: Clan, i: int) -> Clan | None:
@@ -134,14 +158,14 @@ def quotient_by_clans(poset: OrbitPoset, fold, level: str) -> OrbitPoset:
         image = fold(c)
         if image.code not in poset.member_index:
             raise ConsistencyError(f"fold image {image} left the orbit set")
-        if poset.dim_of(image) != poset.dim_of(c):
+        if dim_of(poset, image) != dim_of(poset, c):
             raise ConsistencyError("fold does not preserve dimension")
         rep[c] = min(c, image)
     members: dict[Clan, set[Clan]] = {}
     for c, r in rep.items():
         members.setdefault(r, set()).add(c)
-    reps = sorted(members, key=lambda c: (poset.dim_of(c), str(c)))
-    dims = [poset.dim_of(r) for r in reps]
+    reps = sorted(members, key=lambda c: (dim_of(poset, c), str(c)))
+    dims = [dim_of(poset, r) for r in reps]
     covers = {
         (rep[poset.orbits[lo]], rep[poset.orbits[hi]], root)
         for lo, hi, root in poset.covers

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import time
 from collections import Counter
+from functools import partial
 
 from clanorbits import (
     FamilyA,
@@ -28,6 +29,8 @@ from clanorbits import (
     quotient_poset,
 )
 from clanorbits.fixtures import compare_fixture, load_fixture
+
+from clan_transforms import dim_of, tau
 
 P = parse_clan
 
@@ -199,7 +202,7 @@ def test_criterion_07_structural_invariants():
         poset.validate()  # graded covers, unique max, all-sign minima
         assert poset.open_orbit() == family.open_clan()
         assert set(poset.minima()) == set(family.closed_clans())
-        assert poset.dim_of(poset.open_orbit()) == flag_dim(family)
+        assert dim_of(poset, poset.open_orbit()) == flag_dim(family)
     fd = FamilyD(3, "figure")
     assert build_poset(fd).open_orbit() == negate(gamma_circ_d(3))
     report("criterion 7 (graded posets, extremes, open dimensions)", True)
@@ -289,13 +292,13 @@ def test_criterion_10_symmetry_invariance(poset_d4):
     for rank in (2, 3, 4):
         fd = FamilyD(rank)
         poset = poset_d4 if rank == 4 else build_poset(fd)
-        tau = fd.tau
+        twist = partial(tau, fd)
         pairs = {(poset.orbits[lo], poset.orbits[hi]) for lo, hi, _ in poset.covers}
-        assert {(tau(a), tau(b)) for a, b in pairs} == pairs
+        assert {(twist(a), twist(b)) for a, b in pairs} == pairs
         for c in fd.enumerate():
-            assert tau(tau(c)) == c
-            assert fd.dimension(tau(c)) == fd.dimension(c)
-            assert fd.classify(tau(c)) == fd.classify(c)
+            assert twist(twist(c)) == c
+            assert fd.dimension(twist(c)) == fd.dimension(c)
+            assert fd.classify(twist(c)) == fd.classify(c)
     report("criterion 10 (classification invariant under flips and the twist)", True)
 
 

@@ -27,9 +27,9 @@ from clanorbits.errors import (ConsistencyError, InvalidRoot, NotBelow, NotGrade
                                UnknownOrbit)
 from clanorbits.family import SIGN_FLIP_LEVELS
 from clanorbits.family_d import ISOGENY_LEVELS_D
-from clanorbits.springer import raised_nodes
 
-from clan_transforms import queue_closure, quotient_by_clans, raise_by_walk, simple_move_a
+from clan_transforms import (completed_covers, queue_closure, quotient_by_clans, raise_by_walk,
+                              simple_move_a)
 
 P = parse_clan
 
@@ -125,9 +125,9 @@ def test_completion_adds_figure_dashed_edges(poset_a22):
 def test_chain_poset_gains_no_edges():
     # single maximal chain: the diamond premise never fires
     poset = build_poset(FamilyA(2, 0))
-    assert poset.completed_covers() == []
+    assert completed_covers(poset) == []
     poset = build_poset(FamilyC(1, 1))
-    assert poset.completed_covers() == []
+    assert completed_covers(poset) == []
 
 
 def test_completion_refuses_a_cover_off_the_grading():
@@ -287,8 +287,9 @@ def check_every_pair(poset, built=None, family=None):
         assert bytes(got) == bin(d)[:1:-1].ljust(n, "0").encode().translate(_BITS), j
     if built is not None or family is None:
         return
-    for cid in closed:
-        hits, c = raised_nodes(family, poset, cid), orbits[cid]
+    for cid in closed:  # the raised nodes looked up afresh, not read off `springer_report`'s table
+        c = orbits[cid]
+        hits = [(root, poset.member_index[moved.code]) for root, moved in family.raised(c)]
         for d, o in zip(ref, orbits):
             try:
                 report = springer_report(family, poset, o, c)
@@ -339,20 +340,18 @@ def test_queries_read_rows_across_byte_boundaries():
 
 
 def test_down_view_and_a_flipped_row():
-    """`down` views the rows as the ints of `down_over(range(N))`: its
-    length, its index and its iteration, which is lazy, not a list.  One
-    flipped bit of one row changes the answers of `le` and
-    `springer_report`."""
+    """`down` yields the rows as the ints of `down_over(range(N))`,
+    lazily, not as a list.  One flipped bit of one row changes the
+    answers of `le` and `springer_report`."""
     family = FamilyA(2, 2)
     poset = build_poset(family)
     n, ref = len(poset), poset.down_over(range(len(poset)))
     down = poset.down
-    assert len(down) == n and [down[j] for j in range(n)] == ref
     walk = iter(down)
     assert not isinstance(down, list) and iter(walk) is walk and next(walk) == ref[0]
     assert list(walk) == ref[1:]
     top, cid = n - 1, poset._minima[0]
-    mid = raised_nodes(family, poset, cid)[0][1]
+    mid = poset.member_index[family.raised(poset.orbits[cid])[0][1].code]
     orbit, closed = poset.orbits[top], poset.orbits[cid]
     before = springer_report(family, poset, orbit, closed)
     assert poset.le(poset.orbits[mid], orbit) and ref[top] >> mid & 1
@@ -449,8 +448,8 @@ def test_full_down_sets_wait_for_the_first_le(family, tmp_path):
         searched = searched_down_sets(poset)
         closed = set(map(poset.id_of, poset.minima()))
         assert poset.le(poset.orbits[0], poset.orbits[0]) and poset._down is not None
-        for j, below in enumerate(searched):
-            assert poset.down[j].bit_count() == len(below)
+        for j, (below, down) in enumerate(zip(searched, poset.down)):
+            assert down.bit_count() == len(below)
             assert all(poset.le_ids(i, j) for i in below)
             want = sorted(below & closed)  # lowest id first
             assert list(map(poset.id_of, poset.closed_below(poset.orbits[j]))) == want
@@ -505,7 +504,7 @@ def test_covers_view_yields_canonical_triples(poset_a22):
     assert len(poset_a22.covers) == len(rows) == 39  # 33 weak edges, 6 completed
     assert all(type(e) is tuple and len(e) == 3 for e in rows)
     assert rows == sorted(rows) and len(set(rows)) == len(rows)
-    assert sum(1 for e in rows if e[2] is None) == len(poset_a22.completed_covers()) == 6
+    assert sum(1 for e in rows if e[2] is None) == len(completed_covers(poset_a22)) == 6
     assert {e[2] for e in rows} == {None, 1, 2, 3}
 
 

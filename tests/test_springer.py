@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import gc
+import weakref
+from functools import partial
+
 import pytest
 
 from clanorbits import (
@@ -20,7 +24,10 @@ from clanorbits.errors import (ClanError, ConsistencyError, InvalidRoot, NotBelo
                                UnknownOrbit)
 from clanorbits.family import SIGN_FLIP_LEVELS
 from clanorbits.family_d import ISOGENY_LEVELS_D
-from clanorbits.springer import raised_masks, raised_nodes, root_count
+from clanorbits import springer
+from clanorbits.springer import raised_masks, root_count
+
+from clan_transforms import dim_of, tau
 
 P = parse_clan
 
@@ -170,6 +177,54 @@ def test_each_closed_orbit_is_moved_once(family, monkeypatch):
     assert sorted(moved, key=str) == sorted(want, key=str) and want
 
 
+def test_reports_map_each_closed_node_once(monkeypatch):
+    """Reports on every (orbit, closed orbit below it) pair, twice over,
+    map each closed node's raised orbits to node ids once."""
+    family = FamilyA(3, 2)
+    poset = build_poset(family)
+    asked = []
+    raised = type(family).raised
+    monkeypatch.setattr(type(family), "raised",
+                        lambda self, closed: asked.append(closed) or raised(self, closed))
+    for _ in range(2):
+        for orbit in poset.orbits:
+            for closed in poset.closed_below(orbit):
+                springer_report(family, poset, orbit, closed)
+    assert sorted(asked, key=str) == sorted(poset.minima(), key=str)
+
+
+def test_another_family_is_not_served_the_table(poset_a22):
+    """A second family object refills the poset's table: its own moves,
+    here off the poset, are refused, not answered from the first's."""
+    first, second = FamilyA(2, 2), FamilyA(2, 2)
+    orbit, closed = P("1,2,1,2"), P("+,-,-,+")
+    assert springer_report(first, poset_a22, orbit, closed).s_size == 4
+    second.springer_move = lambda closed, root: P("+,+,+,-")
+    with pytest.raises(UnknownOrbit):
+        springer_report(second, poset_a22, orbit, closed)
+    assert springer_report(first, poset_a22, orbit, closed).s_size == 4
+
+
+def test_the_table_dies_with_its_poset():
+    family = FamilyA(2, 1)
+    poset = build_poset(family)
+    cross_validate(family, poset)
+    assert poset in springer._TABLES
+    filled, alive = len(springer._TABLES), weakref.ref(poset)
+    del poset
+    gc.collect()
+    assert alive() is None and len(springer._TABLES) < filled
+
+
+def test_rationally_smooth_reads_the_rows_first():
+    """On a fresh poset the reports build the full rows, so `closed_below`
+    reads a row's prefix and builds no down-sets over the closed nodes."""
+    family = FamilyA(2, 2)
+    poset = build_poset(family)
+    assert not rationally_smooth(family, poset, P("1,2,1,2"))
+    assert poset._closed_down is None and poset._down is not None
+
+
 def test_report_json(poset_a22):
     fa = FamilyA(2, 2)
     rep = springer_report(fa, poset_a22, P("1,2,1,2"), P("+,-,-,+"))
@@ -201,7 +256,7 @@ def test_cross_validation_on_quotients(poset_a22, poset_c22, poset_d4):
     assert rep["mismatches"] == []
     rep = cross_validate(fa, quotient_poset(poset_a22, negate, "adjoint"))
     assert rep["mismatches"] == []
-    rep = cross_validate(fd, quotient_poset(poset_d4, fd.tau, "adjoint"))
+    rep = cross_validate(fd, quotient_poset(poset_d4, partial(tau, fd), "adjoint"))
     assert rep["orbits"] == 22 and rep["mismatches"] == []
 
 
@@ -212,7 +267,7 @@ def test_verdicts_invariant_under_symmetry(poset_a22, poset_c22, poset_d4):
     for c in poset_c22.orbits:
         assert rationally_smooth(fc, poset_c22, c) == rationally_smooth(fc, poset_c22, negate(c))
     for c in poset_d4.orbits:
-        assert rationally_smooth(fd, poset_d4, c) == rationally_smooth(fd, poset_d4, fd.tau(c))
+        assert rationally_smooth(fd, poset_d4, c) == rationally_smooth(fd, poset_d4, tau(fd, c))
 
 
 def test_moved_orbits_rise(poset_c22):
@@ -220,7 +275,7 @@ def test_moved_orbits_rise(poset_c22):
     fc = FamilyC(2, 2)
     for cl in poset_c22.minima():
         for root, moved in raised_by_roots(fc, cl):
-            assert poset_c22.dim_of(moved) > poset_c22.dim_of(cl)
+            assert dim_of(poset_c22, moved) > dim_of(poset_c22, cl)
 
 
 def test_springer_moves_shape(poset_a22):
@@ -257,6 +312,7 @@ def test_mask_counts_match_reports():
             view = quotient_poset(build_poset(family), family.isogeny_fold(level), level)
             downs, masks = raised_masks(family, view)
             assert view._down is None  # the landmark store alone
+            full_downs = view.down_over(range(len(view)))
             assert list(masks) == [view.id_of(c) for c in view.minima()]
             pairs = 0
             for oid, orbit in enumerate(view.orbits):
@@ -264,8 +320,8 @@ def test_mask_counts_match_reports():
                     if not view.le_ids(cid, oid):
                         continue
                     report = springer_report(family, view, orbit, view.orbits[cid])
-                    full = sum(view.down[oid] >> mid & 1
-                               for _, mid in raised_nodes(family, view, cid))
+                    full = sum(full_downs[oid] >> view.member_index[moved.code] & 1
+                               for _, moved in family.raised(view.orbits[cid]))
                     assert root_count(layers, downs[oid]) == report.s_size == full, \
                         (family, level, orbit)
                     pairs += 1
