@@ -8,20 +8,12 @@ one serializer: the file is `json.dumps(poset_to_dict(poset),
 sort_keys=True)`, and `poset --format json` prints the same dict.
 `CACHE_VERSION` versions what a file means, its schema and the algorithm
 that computed its order: bump it when either changes.  A file of another
-version is a `VersionMismatch`, not rebuilt silently.  Loading decodes
-each clan with `parse_clan` and reads the cover columns straight into the
-poset's `Covers` columns, with no tuple per cover (the ids must be JSON
-integers, as `array('i')` would read `true` as 1); columns in canonical
-order, as a saved file lists them, are kept after one comparison per
-cover, others are sorted.  It validates the schema and the poset (dims
-JSON integers, cover ids in range, root labels among the family's simple
-roots, one cover per pair unless the labels differ, grading, ids rising
-with dimension, one open orbit, all-sign minima); it builds no
-reachability, which the poset computes when a query first needs it.
-`load_or_build` checks the version and the family (in value and JSON
-type), and the orbit count against the cap and the family's closed-form
-count, on the raw dict before it decodes a clan or a cover; a failed
-check raises rather than returning a bad poset.
+version is a `VersionMismatch`, not rebuilt silently.  Loading validates
+the schema and the poset (`poset_from_dict`) but builds no reachability
+and checks no clan's membership: the family's `verdicts` checks every
+member of a poset it did not walk.  `load_or_build` checks the version,
+the family and the orbit count on the raw dict before it decodes a clan
+or a cover; a failed check raises rather than returning a bad poset.
 """
 
 from __future__ import annotations

@@ -310,21 +310,21 @@ def count_mirror_clans(n: int, p: int) -> int:
 
 def length_stat(clan: Clan) -> int:
     """Sum over pairs (i, j) of (j - i) minus the pairs started before i
-    and finished strictly inside (i, j).
+    and finished strictly inside (i, j), in one pass: spans minus crossings.
 
     >>> length_stat(parse_clan("1,2,2,1"))
     4
     >>> length_stat(parse_clan("1,2,1,2"))
     3
     """
-    code = clan.code
-    total = 0
-    for i, j in enumerate(code):
-        if isinstance(j, int) and j > i:
-            total += j - i
-            for s in code[i + 1 : j]:
-                if isinstance(s, int) and s < i:  # its pair started before i
-                    total -= 1
+    total, opened = 0, []  # the first ends of the open pairs, in order
+    for j, i in enumerate(clan.code):
+        if isinstance(i, int):
+            if i > j:
+                opened.append(j)
+            else:  # the pairs opened after i and still open cross (i, j)
+                total += j - i - (len(opened) - 1 - opened.index(i))
+                opened.remove(i)
     return total
 
 

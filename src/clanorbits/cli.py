@@ -223,6 +223,8 @@ def main(argv=None) -> int:
     p_verify.add_argument("--fixture", choices=FIGURES, default=None)
 
     args = parser.parse_args(argv)
+    if args.max_orbits < 0:
+        parser.error(f"argument --max-orbits: must be at least 0, got {args.max_orbits}")
     if args.command == "verify" and args.target != "figures" and not args.family:
         parser.error(f"verify {args.target} needs --family")
     try:

@@ -45,41 +45,43 @@ def _swap(code: tuple, u: int, v: int) -> tuple:
     return tuple(out)
 
 
+def _raises(code: tuple, u: int) -> bool:
+    """Whether the entries at adjacent positions u, u+1 (0-based) of a
+    clan code take one of the three raising swap shapes (two pair ends
+    whose mates come in order; a sign before a pair end whose mate lies
+    further right; a pair end after its mate followed by a sign) or are
+    two opposite signs: whether `_move` moves, without the move."""
+    a, b = code[u], code[u + 1]
+    if isinstance(a, int):
+        return a < b if isinstance(b, int) else a < u
+    return b > u + 1 if isinstance(b, int) else a != b
+
+
 def _move(code: tuple, u: int):
     """Raising move on adjacent positions u, u+1 (0-based) of a clan
-    code; the moved code, or None.
-
-    Swaps the two entries when one of the three raising shapes applies
-    (two pair ends whose mates come in order; a sign before a pair end
-    whose mate lies further right; a pair end after its mate followed by
-    a sign), and replaces two opposite signs by a pair.
-    """
+    code; the moved code, or None: where `_raises`, the two entries are
+    swapped, or two opposite signs replaced by a pair."""
+    if not _raises(code, u):
+        return None
     v = u + 1
-    a, b = code[u], code[v]
-    if isinstance(a, int):
-        raises = a < b if isinstance(b, int) else a < u
-    elif isinstance(b, int):
-        raises = b > v
-    else:
-        if a == b:
-            return None
-        out = list(code)
-        out[u], out[v] = v, u
-        return tuple(out)
-    return _swap(code, u, v) if raises else None
+    if isinstance(code[u], int) or isinstance(code[v], int):
+        return _swap(code, u, v)
+    out = list(code)
+    out[u], out[v] = v, u
+    return tuple(out)
 
 
 def lifted_double_move(code: tuple, u: int, v: int):
     """Apply `_move` at u, then at v on the intermediate code.
 
     The two positions come from the same family root, so they must
-    succeed or fail together when each is tested on the original code;
+    succeed or fail together on the original code (`_raises` tests v);
     anything else is a broken rule.  The composite may still come up
     empty when the second move dies on the intermediate code (the
     orbit was already dense in the relevant fiber).
     """
     first = _move(code, u)
-    if (first is None) != (_move(code, v) is None):
+    if (first is None) == _raises(code, v):
         alone = v if first is None else u
         raise ConsistencyError(
             f"mirrored moves disagree on {Clan(code)}: position {alone + 1} raises alone")
@@ -197,6 +199,8 @@ class OrbitPoset:
     prefix when they exist, else a down-set over the closed nodes.  The
     minima and maxima are the ids missing from the hi and the lo column.
     """
+
+    walked_by: Family | None = None  # whose walk checked every member: `build_poset` sets it
 
     def __init__(self, meta: dict, orbits: Sequence[Clan], dims: Sequence[int],
                  covers: Covers, members=None):
@@ -417,8 +421,7 @@ def weak_order_graph(family: Family, max_orbits: int | None = None):
 
 def complete_closure(dims_by_id: Sequence[int],
                      weak_edges: Iterable[tuple[int, int, int]]) -> Covers:
-    """The weak edges and the covers that complete them, root None, in
-    canonical order.
+    """The weak edges and the covers completing them (root None), in canonical order.
 
     If root s raises u to v, the closure of v is the P_s-saturation of the
     closure of u (Richardson and Springer 1990, section 7).  On a graded
@@ -438,27 +441,28 @@ def complete_closure(dims_by_id: Sequence[int],
     upper: list[list[int | None]] = [[] for _ in dims_by_id]  # upper end, root, upper end, ...
     weak_up: list[dict[int, int]] = [{} for _ in dims_by_id]
     # one weak edge (u, s) into each node; a minimum reads its own (empty) lower covers
-    into: list[tuple[int, int | None]] = [(v, None) for v in range(len(dims_by_id))]
+    into_lo, into_root = list(range(len(dims_by_id))), [None] * len(dims_by_id)
     for lo, hi, root in weak_edges:
         lower[hi].append(lo)
         lower_roots[hi].append(root)
         weak_up[lo][root] = hi
-        into[hi] = (lo, root)
-    for v, (u, s) in enumerate(into):
-        for x, root in zip(lower[v], lower_roots[v]):
-            upper[x].append(v)
-            upper[x].append(root)
+        into_lo[hi], into_root[hi] = lo, root
+    mark = [-1] * len(dims_by_id)  # mark[x] == v once x is a known lower cover of v
+    for v, (u, s) in enumerate(zip(into_lo, into_root)):
+        lows = lower[v]
+        for x, root in zip(lows, lower_roots[v]):
+            upper[x] += (v, root)
+            mark[x] = v
         lower_roots[v] = None  # read once: freed now, it stays out of the build peak
-        seen = set(lower[v])
-        for w in (weak_up[x].get(s) for x in lower[u]):
-            if w is not None and w not in seen:
+        for x in lower[u]:
+            w = weak_up[x].get(s)
+            if w is not None and mark[w] != v:
                 if dims_by_id[w] + 1 != dims_by_id[v]:
                     raise NotGraded("completion produced a non-grading edge")
-                seen.add(w)
-                lower[v].append(w)
-                upper[w].append(v)
-                upper[w].append(None)
-    del lower, lower_roots, weak_up, into  # freed before the columns are made
+                mark[w] = v
+                lows.append(w)
+                upper[w] += (v, None)
+    del lower, lower_roots, weak_up, into_lo, into_root, mark  # freed before the columns are made
     lo = array("i", [x for x, ups in enumerate(upper) for _ in range(0, len(ups), 2)])
     hi = array("i", list(islice(chain.from_iterable(upper), 0, None, 2)))
     root = list(islice(chain.from_iterable(upper), 1, None, 2))
@@ -476,6 +480,7 @@ def build_poset(family: Family, max_orbits: int | None = None) -> OrbitPoset:
                                f"expected open orbit {family.open_clan()}")
     if set(poset.minima()) != set(family.closed_clans()):
         raise ConsistencyError("poset minima differ from the closed orbits")
+    poset.walked_by = family
     return poset
 
 
@@ -508,4 +513,5 @@ def quotient_poset(poset: OrbitPoset, fold: Callable[[Clan], Clan] | None,
         Covers.of(covers),
         [(orbits[i],) if image[i] == i else (orbits[i], orbits[image[i]]) for i in reps])
     folded.validate()
+    folded.walked_by = poset.walked_by  # the members are the walked orbits
     return folded

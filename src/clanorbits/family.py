@@ -136,20 +136,23 @@ class Family(Protocol):
         a, b = self._slots(root)[0]
         return closed.code[a] != closed.code[b]
 
-    def springer_move(self, closed: Clan, root: Root) -> Clan:
-        """The orbit the noncompact imaginary `root` raises the member
-        `closed` to: each slot pair of the root, two opposite signs, becomes
-        a pair.  A compact root (equal signs) raises `InvalidRoot`: pairing
-        them would leave the family."""
-        self._check(closed)
-        out = list(closed.code)
-        for a, b in self._slots(root):
-            if isinstance(out[a], int) or isinstance(out[b], int):
-                raise NotClosed(f"position {a + 1} or {b + 1} of {closed} is not a sign")
-            if out[a] == out[b]:
-                raise InvalidRoot(f"{self.root_str(root)} is compact for {closed}")
+    @staticmethod
+    def _pair_up(code: tuple, slots: tuple[tuple[int, int], ...]) -> tuple:
+        """The code with each slot pair (a, b) made a pair: the unchecked
+        slot edit of `springer_move` and `raised`."""
+        out = list(code)
+        for a, b in slots:
             out[a], out[b] = b, a
-        return Clan(tuple(out))
+        return tuple(out)
+
+    def springer_move(self, closed: Clan, root: Root) -> Clan:
+        """The orbit the noncompact imaginary `root` raises the closed
+        member `closed` to: each slot pair of the root, two opposite signs,
+        becomes a pair.  A compact root (equal signs) raises `InvalidRoot`:
+        pairing them would leave the family."""
+        if not self.is_noncompact(closed, root):  # checks the orbit and the root
+            raise InvalidRoot(f"{self.root_str(root)} is compact for {closed}")
+        return Clan(self._pair_up(closed.code, self._slots(root)))
 
     @cached_property
     def _raised(self) -> dict[tuple, tuple[tuple[Root, Clan], ...]]:
@@ -159,17 +162,18 @@ class Family(Protocol):
         """(root, orbit) for each noncompact root of the closed orbit
         `closed`, with the orbit the root raises it to: the one raise
         loop of both Springer root counts.  Checked and moved once per
-        closed orbit and family object."""
+        closed orbit and family object: on a member, a root's mirrored
+        slot pair is noncompact when its first is."""
         done = self._raised.get(closed.code)
         if done is not None:
             return done
         if not closed.is_all_signs():
             raise NotClosed(f"{closed} is not a closed orbit")
         self._check(closed)
-        code = closed.code
+        code, pair_up = closed.code, self._pair_up
         done = self._raised[code] = tuple(
-            (root, self.springer_move(closed, root))
-            for root, ((a, b), *_) in self._root_table.items() if code[a] != code[b]
+            (root, Clan(pair_up(code, slots)))
+            for root, slots in self._root_table.items() if code[slots[0][0]] != code[slots[0][1]]
         )
         return done
 
@@ -184,12 +188,13 @@ class Family(Protocol):
     def _judged(self) -> dict[tuple, tuple[bool, object]]:
         return {}  # code -> (smooth, witness), one entry per judged member
 
-    def _judge(self, clan: Clan) -> tuple[bool, object]:
-        """(smooth, fiber-form witness) of a member clan: checked,
-        searched and decided once per family object, then read back."""
+    def _judge(self, clan: Clan, checked: bool = False) -> tuple[bool, object]:
+        """(smooth, fiber-form witness) of a member clan: checked unless
+        `checked`, searched and decided once per family object."""
         verdict = self._judged.get(clan.code)
         if verdict is None:
-            self._check(clan)
+            if not checked:
+                self._check(clan)
             form = self._fiber_form(clan)
             if form is not None:
                 verdict = (True, form)
@@ -216,13 +221,14 @@ class Family(Protocol):
         on the isogeny level, so every other member goes through
         `classify` and must agree, or `ConsistencyError` is raised.
         Each member is checked and searched once per family object,
-        however many views and readers ask."""
+        however many views and readers ask: not again if its walk did."""
+        walked = poset.walked_by is self
         judge, classify = self._judge, self.classify
         out = []
         for orbit, members in zip(poset.orbits, poset.members):
-            verdict = judge(orbit)
-            for m in members:
-                if m != orbit and classify(m) != verdict[0]:
+            verdict = judge(orbit, walked)
+            for m in members:  # judged as the orbit is (a verdict is truthy), then classified
+                if m != orbit and judge(m, walked) and classify(m) != verdict[0]:
                     raise ConsistencyError(f"classification differs across the class of {orbit}")
             out.append(verdict)
         return out

@@ -11,25 +11,19 @@ In these families the test is sharp: an orbit closure is rationally
 smooth (equivalently smooth) iff no closed orbit below it violates the
 inequality.
 
-Both counts start from one raise loop, `Family.raised`: the noncompact
-roots of a closed orbit, each with the orbit it raises that orbit to,
-computed once per closed orbit and family object.  `raised_nodes` maps
-those orbits to the nodes of one poset by their codes (`member_index`),
-checks that each lies strictly higher, and keeps the answer in one table
-per poset and family object, once per closed node; both counts read it.
-`springer_report` keeps the roots whose node lies below one orbit and
-lists them: it is the explain path and the oracle of the tests.  It
-asks `le_ids` whether the closed node lies below, then tests each raised
-node by one byte of the orbit's row of the full down-sets
-(`OrbitPoset.row`), in O(1) per node.  `cross_validate`
-checks every orbit against the pattern-based classifiers without the
-full down-sets.  It reads only the landmarks:
-the closed nodes and the nodes their roots raise them to.
-`raised_masks` folds each closed node's raised nodes into bitmasks over
-the landmarks and takes every node's down-set over the landmarks
-(`OrbitPoset.down_over`), so the count for an orbit is a popcount of
-the two (`root_count`).  `rationally_smooth` and `SpringerReport.to_json`
-(with `Family.root_str`) are public API for library callers; the package calls neither.
+Both counts start from one raise loop, `Family.raised`, run once per
+closed orbit and family object, and read one table per poset of each
+closed node's raised nodes (`raised_nodes`, which checks that each lies
+strictly higher).  `springer_report`, the explain path and the oracle of
+the tests, asks `le_ids` whether the closed node lies below, then tests
+each raised node by one byte of the orbit's row of the full down-sets.
+`cross_validate` checks every orbit against the pattern-based
+classifiers without them: `raised_masks` folds the raised nodes into
+bitmasks over the landmarks (the closed nodes and the nodes their roots
+raise them to), so an orbit's count is a popcount against its down-set
+over the landmarks (`root_count`).  `rationally_smooth` and
+`SpringerReport.to_json` are public API for library callers; the package
+calls neither.
 
 Everything here also runs on isogeny-quotient posets: nodes then carry
 several clans, the closed node's representative drives the root data,

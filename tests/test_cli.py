@@ -19,7 +19,7 @@ from clanorbits.cache import (
 )
 from clanorbits.cli import main
 from clanorbits.closure import quotient_poset
-from clanorbits.errors import CorruptCache, RankTooLarge, VersionMismatch
+from clanorbits.errors import CorruptCache, RankTooLarge, SignatureMismatch, VersionMismatch
 from clanorbits.family import SIGN_FLIP_LEVELS
 from clanorbits.family_d import ISOGENY_LEVELS_D
 
@@ -156,6 +156,34 @@ def test_max_orbits_stops_the_build(tmp_path):
     save_poset(build_poset(FamilyA(2, 2)), tmp_path / "a-p2-q2.json")
     assert main(["list", "--family", "a", "--p", "2", "--q", "2", "--max-orbits", "10",
                  "--cache-dir", str(tmp_path)]) == 2
+
+
+def test_a_negative_cap_is_a_usage_error(capsys):
+    for argv in (["list", "--family", "a", "--p", "2", "--q", "2"],
+                 ["verify", "counts", "--family", "c", "--p", "1", "--q", "1"]):
+        with pytest.raises(SystemExit) as err:
+            main([*argv, "--max-orbits", "-1"])
+        assert err.value.code == 2
+        assert "argument --max-orbits: must be at least 0, got -1" in capsys.readouterr().err
+    assert main(["list", "--family", "a", "--p", "0", "--q", "0", "--max-orbits", "1"]) == 0
+
+
+def test_a_loaded_orbit_outside_the_family_is_refused_by_the_verdicts(tmp_path, capsys):
+    """The load does not check membership; `verdicts` checks every member
+    of a poset no walk of the family checked, so the foreign clan is
+    refused before any row is printed."""
+    family = FamilyA(2, 2)
+    path = save_poset(build_poset(family), tmp_path / "a-p2-q2.json")
+    path.write_text(path.read_text().replace('"+,+,-,-"', '"+,+,+,-"'))
+    loaded = load_poset(path, family)
+    assert P("+,+,+,-").code in loaded.member_index and loaded.walked_by is None
+    with pytest.raises(SignatureMismatch):
+        family.verdicts(loaded)
+    capsys.readouterr()
+    assert main(["list", "--family", "a", "--p", "2", "--q", "2",
+                 "--cache-dir", str(tmp_path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: +,+,+,- has signature (3, 1)")
 
 
 @pytest.mark.parametrize("argv", [

@@ -22,14 +22,15 @@ from clanorbits import (
     weak_order_graph,
 )
 from clanorbits.cache import load_poset, save_poset
+from clanorbits.clans import length_stat
 from clanorbits.closure import Covers, OrbitPoset, _move, complete_closure
 from clanorbits.errors import (ConsistencyError, InvalidRoot, NotBelow, NotGraded, RankTooLarge,
                                UnknownOrbit)
 from clanorbits.family import SIGN_FLIP_LEVELS
 from clanorbits.family_d import ISOGENY_LEVELS_D
 
-from clan_transforms import (completed_covers, queue_closure, quotient_by_clans, raise_by_walk,
-                              simple_move_a)
+from clan_transforms import (completed_covers, length_stat_by_interiors, queue_closure,
+                              quotient_by_clans, raise_by_walk, simple_move_a)
 
 P = parse_clan
 
@@ -162,6 +163,26 @@ def test_build_matches_the_raise_by_walk_and_queue_closure(family):
     assert poset.orbits == orbits and poset.dims == dims
     want = OrbitPoset(poset.meta, orbits, dims, Covers.of(queue_closure(dims, edges)))
     assert poset.covers == want.covers
+
+
+@pytest.mark.parametrize("family", ORACLE_FAMILIES, ids=repr)
+def test_length_stat_is_the_interior_scan(family):
+    """The one-pass length statistic (spans minus crossings) equals the
+    O(n^2) scan of every pair's interior on every clan of the family."""
+    clans = family.enumerate()
+    assert len(clans) == family.count()
+    for clan in clans:
+        assert length_stat(clan) == length_stat_by_interiors(clan), clan
+
+
+@pytest.mark.parametrize("family", ORACLE_FAMILIES, ids=repr)
+def test_the_raise_loop_is_the_checked_move(family):
+    """`raised` gives, root by root, what the checked `springer_move`
+    gives for each noncompact root of every closed orbit."""
+    for closed in family.closed_clans():
+        want = [(root, family.springer_move(closed, root))
+                for root in family.positive_roots() if family.is_noncompact(closed, root)]
+        assert list(family.raised(closed)) == want, closed
 
 
 @pytest.mark.parametrize("family", ORACLE_FAMILIES, ids=repr)

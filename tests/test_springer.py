@@ -25,6 +25,7 @@ from clanorbits.errors import (ClanError, ConsistencyError, InvalidRoot, NotBelo
 from clanorbits.family import SIGN_FLIP_LEVELS
 from clanorbits.family_d import ISOGENY_LEVELS_D
 from clanorbits import springer
+from clanorbits.cli import orbit_rows
 from clanorbits.springer import raised_masks, root_count
 
 from clan_transforms import dim_of, tau
@@ -165,16 +166,34 @@ def test_each_closed_orbit_is_moved_once(family, monkeypatch):
     base = build_poset(family)
     want = [(cl, root) for cl in base.minima() for root, _ in raised_by_roots(family, cl)]
     moved = []
-    move = type(family).springer_move
-    monkeypatch.setattr(type(family), "springer_move",
-                        lambda self, closed, root: moved.append((closed, root)) or
-                        move(self, closed, root))
+    pair_up, root_of = family._pair_up, {v: k for k, v in family._root_table.items()}
+    monkeypatch.setattr(type(family), "_pair_up", staticmethod(
+        lambda code, slots: moved.append((Clan(code), root_of[slots])) or pair_up(code, slots)))
     for _, view in views(family, base, family.levels):
         assert cross_validate(family, view)["mismatches"] == []
         for orbit in view.orbits:
             for closed in view.closed_below(orbit):
                 springer_report(family, view, orbit, closed)
     assert sorted(moved, key=str) == sorted(want, key=str) and want
+
+
+@pytest.mark.parametrize("family", [FamilyA(3, 3), FamilyC(3, 2), FamilyD(5)], ids=repr)
+def test_the_pipeline_checks_each_orbit_once(family, monkeypatch):
+    """`build_poset`, then `orbit_rows` and `cross_validate` at every
+    isogeny level: the walk checks each orbit once, `raised` each closed
+    orbit once, and `verdicts` none of the poset this family walked."""
+    check, calls = type(family)._check, []
+    monkeypatch.setattr(type(family), "_check",
+                        lambda self, clan: calls.append(clan) or check(self, clan))
+    base = build_poset(family)
+    assert sorted(calls, key=str) == sorted(base.orbits, key=str)
+    calls.clear()
+    for _, view in views(family, base, family.levels):
+        checked = len(calls)
+        orbit_rows(family, view)
+        assert len(calls) == checked
+        cross_validate(family, view)
+    assert sorted(calls, key=str) == sorted(base.minima(), key=str)
 
 
 def test_reports_map_each_closed_node_once(monkeypatch):
@@ -199,7 +218,7 @@ def test_another_family_is_not_served_the_table(poset_a22):
     first, second = FamilyA(2, 2), FamilyA(2, 2)
     orbit, closed = P("1,2,1,2"), P("+,-,-,+")
     assert springer_report(first, poset_a22, orbit, closed).s_size == 4
-    second.springer_move = lambda closed, root: P("+,+,+,-")
+    second._pair_up = lambda code, slots: P("+,+,+,-").code
     with pytest.raises(UnknownOrbit):
         springer_report(second, poset_a22, orbit, closed)
     assert springer_report(first, poset_a22, orbit, closed).s_size == 4
@@ -330,10 +349,10 @@ def test_mask_counts_match_reports():
 
 def test_raised_masks_guard_the_moves(poset_a22, monkeypatch):
     # a fresh family per patch: a family moves each closed orbit once
-    monkeypatch.setattr(FamilyA, "springer_move", lambda self, closed, root: closed)
+    monkeypatch.setattr(FamilyA, "_pair_up", staticmethod(lambda code, slots: code))
     with pytest.raises(ConsistencyError):
         cross_validate(FamilyA(2, 2), poset_a22)
-    monkeypatch.setattr(FamilyA, "springer_move", lambda self, closed, root: P("+,+,+,-"))
+    monkeypatch.setattr(FamilyA, "_pair_up", staticmethod(lambda code, slots: P("+,+,+,-").code))
     with pytest.raises(UnknownOrbit):
         cross_validate(FamilyA(2, 2), poset_a22)
 
@@ -341,7 +360,7 @@ def test_raised_masks_guard_the_moves(poset_a22, monkeypatch):
 def test_mask_counts_keep_root_multiplicity(poset_a22, monkeypatch):
     # every root of every closed orbit lands on one node: counted per root
     fa = FamilyA(2, 2)
-    monkeypatch.setattr(FamilyA, "springer_move", lambda self, closed, root: P("1,1,-,+"))
+    monkeypatch.setattr(FamilyA, "_pair_up", staticmethod(lambda code, slots: P("1,1,-,+").code))
     downs, masks = raised_masks(fa, poset_a22)
     top = poset_a22.id_of(fa.open_clan())
     for cid, layers in masks.items():
