@@ -6,8 +6,9 @@ simple roots.  The full closure order follows from it by one identity
 covers of v are the nodes s raises to v and the nodes s raises the lower
 covers of u to.  Covers that the identity adds to the weak edges are
 marked "completed" (the dashed edges of closure diagrams).  The weak-order
-walk numbers the orbits, one dimension layer at a time, by text.  Covers
-are held as `Covers`, int columns.
+walk checks and numbers the orbits, one dimension layer at a time, by
+text; `build_poset` marks its poset `walked_by` the family.  Covers are
+held as `Covers`, int columns.
 
 Family objects plugged into `build_poset` follow `clanorbits.family.Family`.
 """
@@ -471,7 +472,7 @@ def complete_closure(dims_by_id: Sequence[int],
 
 
 def build_poset(family: Family, max_orbits: int | None = None) -> OrbitPoset:
-    """Weak order graph, completed and wrapped as a validated poset."""
+    """Weak order graph, completed, as a validated poset marked `walked_by` the family."""
     orbits, weak, dims = weak_order_graph(family, max_orbits)
     poset = OrbitPoset(family.meta(), orbits, dims, complete_closure(dims, weak))
     poset.validate()

@@ -13,9 +13,10 @@ states only its data: its `root_signs`, the position pairs
 Smoothness does not depend on the isogeny level, so a clan's verdict
 is a fact of its family: `_judge` checks a clan, searches its fiber
 form and decides it once per family object, and `classify`,
-`fiber_form` and `verdicts` read that memo.  It holds at most `count()`
-entries, keyed by the code tuples the clans already hold.  `raised` is
-memoized the same way, once per closed orbit.
+`fiber_form` and `verdicts` read that memo (checking no member of a
+poset the same object walked).  It holds at most `count()` entries,
+keyed by the code tuples the clans hold.  `raised` is memoized the same
+way, once per closed orbit, moving each root by `_pair_up`.
 
 `MirrorFamily` is the machinery types C and D share: clans of length
 2n built by `clans.mirror_double` from their first half; the closed
@@ -173,8 +174,7 @@ class Family(Protocol):
         code, pair_up = closed.code, self._pair_up
         done = self._raised[code] = tuple(
             (root, Clan(pair_up(code, slots)))
-            for root, slots in self._root_table.items() if code[slots[0][0]] != code[slots[0][1]]
-        )
+            for root, slots in self._root_table.items() if code[slots[0][0]] != code[slots[0][1]])
         return done
 
     @staticmethod
@@ -217,11 +217,10 @@ class Family(Protocol):
 
     def verdicts(self, poset: OrbitPoset) -> list[tuple[bool, object]]:
         """(smooth, fiber-form witness) per node of `poset`, the
-        representative's memoized verdict.  Smoothness does not depend
-        on the isogeny level, so every other member goes through
-        `classify` and must agree, or `ConsistencyError` is raised.
-        Each member is checked and searched once per family object,
-        however many views and readers ask: not again if its walk did."""
+        representative's memoized verdict.  Smoothness does not depend on
+        the isogeny level, so every other member goes through `classify`
+        and must agree, or `ConsistencyError` is raised.  Each member is searched
+        once per family object, and checked once unless that object walked `poset`."""
         walked = poset.walked_by is self
         judge, classify = self._judge, self.classify
         out = []

@@ -177,18 +177,22 @@ def test_each_closed_orbit_is_moved_once(family, monkeypatch):
     assert sorted(moved, key=str) == sorted(want, key=str) and want
 
 
-@pytest.mark.parametrize("family", [FamilyA(3, 3), FamilyC(3, 2), FamilyD(5)], ids=repr)
-def test_the_pipeline_checks_each_orbit_once(family, monkeypatch):
+@pytest.mark.parametrize("order", [1, -1], ids=["sc-first", "sc-last"])
+@pytest.mark.parametrize("make", [lambda: FamilyA(3, 3), lambda: FamilyC(3, 2), lambda: FamilyD(5)],
+                         ids=["A(3,3)", "C(3,2)", "D(5)"])
+def test_the_pipeline_checks_each_orbit_once(make, order, monkeypatch):
     """`build_poset`, then `orbit_rows` and `cross_validate` at every
     isogeny level: the walk checks each orbit once, `raised` each closed
-    orbit once, and `verdicts` none of the poset this family walked."""
+    orbit once, and `verdicts` none of the poset this family walked, in
+    either level order (a folded view read first judges every member)."""
+    family = make()  # a fresh memo per case
     check, calls = type(family)._check, []
     monkeypatch.setattr(type(family), "_check",
                         lambda self, clan: calls.append(clan) or check(self, clan))
     base = build_poset(family)
     assert sorted(calls, key=str) == sorted(base.orbits, key=str)
     calls.clear()
-    for _, view in views(family, base, family.levels):
+    for _, view in views(family, base, family.levels[::order]):
         checked = len(calls)
         orbit_rows(family, view)
         assert len(calls) == checked
