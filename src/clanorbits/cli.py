@@ -18,11 +18,12 @@ import sys
 from itertools import groupby
 
 from .cache import load_or_build, poset_to_dict
+from .clans import CONVENTIONS
 from .closure import Covers, OrbitPoset, quotient_poset, raising_moves_oracle
 from .errors import CacheError, ClanError, ConsistencyError, RankTooLarge
 from .family_a import FamilyA
 from .family_c import FamilyC
-from .family_d import FamilyD
+from .family_d import ISOGENY_LEVELS_D, FamilyD
 from .fixtures import FIGURES, compare_fixture, load_fixture
 from .springer import cross_validate
 
@@ -101,6 +102,7 @@ def cmd_poset(args, parser) -> int:
     family = make_family(args, parser)
     view = family_poset(family, args)
     if args.format == "json":
+        family.verdicts(view)  # checks every member, as the DOT path does
         print(json.dumps(poset_to_dict(view), indent=2))
         return 0
     text = poset_dot(family, view)
@@ -172,6 +174,7 @@ def _verify_oracle(args, parser) -> int:
         parser.error("the raising-move oracle applies to --family a")
     family = make_family(args, parser)
     poset = load_or_build(family, args.cache_dir, args.max_orbits)
+    family.verdicts(poset)  # checks every member: a foreign one is named, not a move off it
     unsound = 0
     moves = []
     for i, clan in enumerate(poset.orbits):
@@ -181,7 +184,8 @@ def _verify_oracle(args, parser) -> int:
                 unsound += 1
             moves.append((i, j, None))
     # the down-sets of the order the moves generate, by the poset's own pass
-    back = OrbitPoset(poset.meta, poset.orbits, poset.dims, Covers.of(moves)).down
+    back = OrbitPoset(poset.meta, poset.orbits, poset.dims, Covers.of(moves)).down_over(
+        range(len(poset)))
     missing = sum((down & ~b).bit_count() for down, b in zip(poset.down, back))
     ok = unsound == 0
     print(
@@ -202,9 +206,8 @@ def main(argv=None) -> int:
         p.add_argument("--p", type=int)
         p.add_argument("--q", type=int)
         p.add_argument("--n", type=int)
-        p.add_argument("--isogeny", default="sc",
-                       choices=("sc", "so", "so-prime", "adjoint"))
-        p.add_argument("--convention", default="paper", choices=("paper", "figure"))
+        p.add_argument("--isogeny", default="sc", choices=ISOGENY_LEVELS_D)
+        p.add_argument("--convention", default="paper", choices=CONVENTIONS)
         p.add_argument("--cache-dir", default=None)
         p.add_argument("--max-orbits", type=int, default=100_000)
 

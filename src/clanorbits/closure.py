@@ -192,13 +192,14 @@ class OrbitPoset:
     so a lookup hashes in C.
 
     `down_over(ids)` gives each node its down-set restricted to `ids`.
-    The full down-sets, Θ(N²) bits, are built at the first `le` (or the
-    first read of `down`) and kept as byte rows: row j holds bit i of
-    j's down-set in bit i & 7 of byte i >> 3, up to bit j (j // 8 + 1
-    bytes, as ids rise with dimension), so a query reads one byte in
-    O(1).  `down` yields them as ints, lazily.  `closed_below` reads a row's
-    prefix when they exist, else a down-set over the closed nodes.  The
-    minima and maxima are the ids missing from the hi and the lo column.
+    The full down-sets, Θ(N²) bits, are the one structure behind every
+    per-orbit query, built at the first and kept as byte rows: row j
+    holds bit i of j's down-set in bit i & 7 of byte i >> 3, up to bit j
+    (j // 8 + 1 bytes, as ids rise with dimension), so `le` reads one
+    byte in O(1), `closed_below` a row's prefix, and `down` the rows as
+    ints, lazily.  The trade-off: a first `closed_below` pays N²/16 bytes
+    (122 MiB at A(5,5)) where N bits per closed node would do.  The minima
+    and maxima are the ids missing from the hi and the lo column.
     """
 
     walked_by: Family | None = None  # whose walk checked every member: `build_poset` sets it
@@ -220,7 +221,6 @@ class OrbitPoset:
         self._closed_mask = sum(1 << i for i in self._minima)
         self._closed_bytes = self._minima[-1] // 8 + 1 if self._minima else 0
         self._down: list[bytes] | None = None
-        self._closed_down: list[int] | None = None
 
     def down_over(self, ids: Sequence[int]) -> list[int]:
         """Per node v, its down-set over `ids`: bit k is set when node
@@ -281,7 +281,7 @@ class OrbitPoset:
         """Closure containment: the orbit of `a` lies in the closure of `b`.
         The hot query, in one frame: two lookups of code tuples, hashed in
         C, and the byte read of `le_ids` on a plain attribute, with no test
-        once the rows exist (a try block costs nothing)."""
+        once the rows exist (a try block costs nothing), else `le_ids`."""
         index = self.member_index
         try:
             i, j = index[a.code], index[b.code]
@@ -290,7 +290,7 @@ class OrbitPoset:
         try:
             return i <= j and self._down[j][i >> 3] >> (i & 7) & 1 == 1
         except TypeError:  # `_down` is None before the first query
-            return i <= j and self.row(j)[i >> 3] >> (i & 7) & 1 == 1
+            return self.le_ids(i, j)
 
     def minima(self) -> list[Clan]:
         return [self.orbits[i] for i in self._minima]
@@ -302,20 +302,12 @@ class OrbitPoset:
 
     def closed_below(self, clan: Clan) -> list[Clan]:
         """The closed orbits below `clan`, lowest id first: its row up to
-        the byte of the highest closed id, masked to the closed ids, when
-        the full down-sets exist, else its down-set over the closed nodes
-        (built at the first call, N bits per closed node)."""
-        j = self.id_of(clan)
-        if self._down is not None:  # bit i stands for orbit i
-            prefix = self._down[j][:self._closed_bytes]
-            orbits, mask = self.orbits, int.from_bytes(prefix, "little") & self._closed_mask
-        else:  # bit k stands for the k-th closed orbit
-            if self._closed_down is None:
-                self._closed_down = self.down_over(self._minima)
-            orbits, mask = self.minima(), self._closed_down[j]
+        the byte of the highest closed id, masked to the closed ids."""
+        prefix = self.row(self.id_of(clan))[:self._closed_bytes]
+        mask = int.from_bytes(prefix, "little") & self._closed_mask
         # the mask read once, as its binary digits lowest first, each made a
         # 0 or 1 byte for `compress`: no shift of the mask per closed node
-        return list(compress(orbits, bin(mask)[:1:-1].encode().translate(_BIT_BYTES)))
+        return list(compress(self.orbits, bin(mask)[:1:-1].encode().translate(_BIT_BYTES)))
 
     def validate(self, roots: Container[int] | None = None) -> None:
         """Check the covers, the grading, the id order and the extremes.

@@ -218,16 +218,16 @@ class Family(Protocol):
     def verdicts(self, poset: OrbitPoset) -> list[tuple[bool, object]]:
         """(smooth, fiber-form witness) per node of `poset`, the
         representative's memoized verdict.  Smoothness does not depend on
-        the isogeny level, so every other member goes through `classify`
-        and must agree, or `ConsistencyError` is raised.  Each member is searched
+        the isogeny level, so every other member's verdict must agree, or
+        `ConsistencyError` is raised.  Each member is searched
         once per family object, and checked once unless that object walked `poset`."""
         walked = poset.walked_by is self
-        judge, classify = self._judge, self.classify
+        judge = self._judge
         out = []
         for orbit, members in zip(poset.orbits, poset.members):
             verdict = judge(orbit, walked)
-            for m in members:  # judged as the orbit is (a verdict is truthy), then classified
-                if m != orbit and judge(m, walked) and classify(m) != verdict[0]:
+            for m in members:  # judged as the orbit is, its memo read once
+                if m != orbit and judge(m, walked)[0] != verdict[0]:
                     raise ConsistencyError(f"classification differs across the class of {orbit}")
             out.append(verdict)
         return out

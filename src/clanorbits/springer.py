@@ -14,9 +14,10 @@ inequality.
 Both counts start from one raise loop, `Family.raised`, run once per
 closed orbit and family object, and read one table per poset of each
 closed node's raised nodes (`raised_nodes`, which checks that each lies
-strictly higher).  `springer_report`, the explain path and the oracle of
-the tests, asks `le_ids` whether the closed node lies below, then tests
-each raised node by one byte of the orbit's row of the full down-sets.
+strictly higher).  The explain path reads the byte rows of the full
+down-sets, the poset's one per-orbit structure: `closed_below` a row's
+prefix, and `springer_report`, also the oracle of the tests, `le_ids`
+for the closed node, then one byte of the same row per raised node.
 `cross_validate` checks every orbit against the pattern-based
 classifiers without them: `raised_masks` folds the raised nodes into
 bitmasks over the landmarks (the closed nodes and the nodes their roots
@@ -107,7 +108,6 @@ def springer_report(family: Family, poset: OrbitPoset, orbit: Clan,
 
 def rationally_smooth(family: Family, poset: OrbitPoset, orbit: Clan) -> bool:
     """True when no closed orbit below `orbit` violates the inequality."""
-    poset.row(poset.id_of(orbit))  # the rows the reports read, so `closed_below` reads them too
     return not any(
         springer_report(family, poset, orbit, cl).violated
         for cl in poset.closed_below(orbit)

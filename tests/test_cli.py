@@ -170,8 +170,9 @@ def test_a_negative_cap_is_a_usage_error(capsys):
 
 def test_a_loaded_orbit_outside_the_family_is_refused_by_the_verdicts(tmp_path, capsys):
     """The load does not check membership; `verdicts` checks every member
-    of a poset no walk of the family checked, so the foreign clan is
-    refused before any row is printed."""
+    of a poset no walk of the family checked, so `list`, `poset --format
+    json` and `verify oracle` refuse the foreign clan, by name, before
+    they print anything."""
     family = FamilyA(2, 2)
     path = save_poset(build_poset(family), tmp_path / "a-p2-q2.json")
     path.write_text(path.read_text().replace('"+,+,-,-"', '"+,+,+,-"'))
@@ -180,10 +181,11 @@ def test_a_loaded_orbit_outside_the_family_is_refused_by_the_verdicts(tmp_path, 
     with pytest.raises(SignatureMismatch):
         family.verdicts(loaded)
     capsys.readouterr()
-    assert main(["list", "--family", "a", "--p", "2", "--q", "2",
-                 "--cache-dir", str(tmp_path)]) == 2
-    out, err = capsys.readouterr()
-    assert out == "" and err.startswith("error: +,+,+,- has signature (3, 1)")
+    for argv in (["list"], ["poset", "--format", "json"], ["verify", "oracle"]):
+        assert main([*argv, "--family", "a", "--p", "2", "--q", "2",
+                     "--cache-dir", str(tmp_path)]) == 2, argv
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: +,+,+,- has signature (3, 1)"), argv
 
 
 @pytest.mark.parametrize("argv", [

@@ -23,6 +23,7 @@ from clanorbits import (
 )
 from clanorbits.cache import load_poset, save_poset
 from clanorbits.clans import length_stat
+from clanorbits.cli import orbit_rows
 from clanorbits.closure import Covers, OrbitPoset, _move, complete_closure
 from clanorbits.errors import (ConsistencyError, InvalidRoot, NotBelow, NotGraded, RankTooLarge,
                                UnknownOrbit)
@@ -286,20 +287,18 @@ _BITS = bytes.maketrans(b"01", b"\0\1")
 
 def check_every_pair(poset, built=None, family=None):
     """Check the queries on every pair against the int down-sets of
-    `down_over(range(N))`: `closed_below` before and after the rows exist;
-    with `built` None, `le` on every pair and, with a family,
-    `springer_report` on every (orbit, closed orbit) pair; else `le_ids`
-    on every pair.  The answer of `le` is a function of `member_index`
-    and the rows, so a loaded poset with both equal to those of the
-    built one it is checked against answers `le` alike."""
+    `down_over(range(N))`: `closed_below` on every orbit, its first call
+    building the rows, and again on the rows it built; with `built` None,
+    `le` on every pair and, with a family, `springer_report` on every
+    (orbit, closed orbit) pair; else `le_ids` on every pair.  The answer
+    of `le` is a function of `member_index` and the rows, so a loaded
+    poset with both equal to those of the built one it is checked against
+    answers `le` alike."""
     n, orbits, closed = len(poset), poset.orbits, poset._minima
     ref = poset.down_over(range(n))
     want = [[orbits[i] for i in closed if d >> i & 1] for d in ref]
-    assert poset._down is None
-    assert [poset.closed_below(o) for o in orbits] == want and poset._down is None
-    poset.down
-    poset._closed_down = None
-    assert [poset.closed_below(o) for o in orbits] == want and poset._closed_down is None
+    assert [poset.closed_below(o) for o in orbits] == want
+    assert [poset.closed_below(o) for o in orbits] == want
     if built is not None:
         assert poset._down == built._down and poset.member_index == built.member_index
     for j, (d, b) in enumerate(zip(ref, orbits)):
@@ -445,14 +444,25 @@ def searched_down_sets(poset) -> list[set[int]]:
     return out
 
 
+FIRST_QUERIES = {  # each asks of the lowest orbit and the open one, and is true
+    "le": lambda family, poset: poset.le(poset.orbits[0], poset.orbits[-1]),
+    "le_ids": lambda family, poset: poset.le_ids(0, len(poset) - 1),
+    "closed_below": lambda family, poset: poset.closed_below(poset.orbits[-1]) == poset.minima(),
+    "springer_report": lambda family, poset: springer_report(
+        family, poset, poset.orbits[-1], poset.orbits[0]).closed == poset.orbits[0],
+}
+
+
+@pytest.mark.parametrize("first", FIRST_QUERIES)
 @pytest.mark.parametrize("family", ORACLE_FAMILIES, ids=repr)
-def test_full_down_sets_wait_for_the_first_le(family, tmp_path):
+def test_full_down_sets_wait_for_the_first_le(family, first, tmp_path):
     """On the base poset, built and loaded, and on every folded isogeny
-    view: `closed_below` and `cross_validate` build no full down-sets.
-    After the first `le`, `closed_below` reads the full down-sets and builds
-    none over the closed nodes.  On both paths it gives the closed orbits
-    of the searched down-set, lowest id first, and every member of every
-    class resolves to its class id."""
+    view: `cross_validate` and `orbit_rows` build no full down-sets.  The
+    first per-orbit query, each of `le`, `le_ids`, `closed_below` and
+    `springer_report` in turn, builds them.  Then `le_ids` and
+    `closed_below` give the searched down-set and its closed orbits,
+    lowest id first, and every member of every class resolves to its
+    class id."""
     base = build_poset(family)
     folds = [(level, family.isogeny_fold(level)) for level in family.levels]
 
@@ -461,21 +471,21 @@ def test_full_down_sets_wait_for_the_first_le(family, tmp_path):
 
     lazy, eager = views(base), views(load_poset(save_poset(base, tmp_path / "base.json")))
     for poset in lazy:
-        for orbit in poset.orbits:
-            poset.closed_below(orbit)
         cross_validate(family, poset)
+        orbit_rows(family, poset)
         assert poset._down is None
     for before, poset in zip(lazy, eager):
+        for view in (before, poset):
+            assert view._down is None
+            assert FIRST_QUERIES[first](family, view) and view._down is not None
         searched = searched_down_sets(poset)
         closed = set(map(poset.id_of, poset.minima()))
-        assert poset.le(poset.orbits[0], poset.orbits[0]) and poset._down is not None
         for j, (below, down) in enumerate(zip(searched, poset.down)):
             assert down.bit_count() == len(below)
             assert all(poset.le_ids(i, j) for i in below)
             want = sorted(below & closed)  # lowest id first
             assert list(map(poset.id_of, poset.closed_below(poset.orbits[j]))) == want
             assert list(map(before.id_of, before.closed_below(before.orbits[j]))) == want
-        assert poset._closed_down is None
         for view in (before, poset):
             assert all(view.id_of(m) == i for i, ms in enumerate(view.members) for m in ms)
 
@@ -492,16 +502,14 @@ def test_down_over_restricts_the_down_sets(poset_a33):
 def test_closed_below_reads_minima_above_the_lowest_ids():
     """A minimum need not be a low id: in this graded order node 3 (one
     dimension up) has no lower cover.  `closed_below` gives the same
-    minima, lowest id first, before and after the full down-sets exist."""
+    minima, lowest id first, as it builds the rows and once they exist."""
     orbits = [P(t) for t in ("+,-", "-,+", "1,1", "+,+", "-,-")]
     poset = OrbitPoset({}, orbits, [0, 0, 1, 1, 2],
                        Covers.of([(0, 2, 1), (2, 4, 1), (3, 4, None)]))
     want = [[orbits[0]], [orbits[1]], [orbits[0]], [orbits[3]], [orbits[0], orbits[3]]]
     assert poset._minima == [0, 1, 3]
-    assert [poset.closed_below(c) for c in orbits] == want and poset._down is None
-    poset.down
-    poset._closed_down = None
-    assert [poset.closed_below(c) for c in orbits] == want and poset._closed_down is None
+    assert [poset.closed_below(c) for c in orbits] == want
+    assert [poset.closed_below(c) for c in orbits] == want
 
 
 def test_covers_are_int_columns_at_a44(ambient_a44, tmp_path):

@@ -189,10 +189,14 @@ def test_verdicts_check_every_class_member(monkeypatch, poset_c22):
     """Smoothness does not depend on the isogeny level, so every reader of
     the verdicts refuses a class whose members disagree."""
     fc = FamilyC(2, 2)
-    classify = FamilyC.classify
+    judge = FamilyC._judge
     odd_one = P("-,+,1,1,2,2,+,-")  # not the representative of its adjoint class
-    monkeypatch.setattr(FamilyC, "classify",
-                        lambda self, clan: classify(self, clan) != (clan == odd_one))
+
+    def flipped(self, clan, checked=False):  # the odd one's verdict turned over
+        smooth, form = judge(self, clan, checked)
+        return smooth != (clan == odd_one), form
+
+    monkeypatch.setattr(FamilyC, "_judge", flipped)
     folded = quotient_poset(poset_c22, fc.isogeny_fold("adjoint"), "adjoint")
     assert odd_one.code in folded.member_index and odd_one not in folded.orbits
     for check in (

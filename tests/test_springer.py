@@ -240,12 +240,12 @@ def test_the_table_dies_with_its_poset():
 
 
 def test_rationally_smooth_reads_the_rows_first():
-    """On a fresh poset the reports build the full rows, so `closed_below`
-    reads a row's prefix and builds no down-sets over the closed nodes."""
+    """On a fresh poset `closed_below` builds the full rows, and the
+    reports read them."""
     family = FamilyA(2, 2)
     poset = build_poset(family)
     assert not rationally_smooth(family, poset, P("1,2,1,2"))
-    assert poset._closed_down is None and poset._down is not None
+    assert poset._down is not None
 
 
 def test_report_json(poset_a22):
