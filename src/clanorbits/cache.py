@@ -10,10 +10,12 @@ sort_keys=True)`, and `poset --format json` prints the same dict.
 that computed its order: bump it when either changes.  A file of another
 version is a `VersionMismatch`, not rebuilt silently.  Loading validates
 the schema and the poset (`poset_from_dict`) but builds no reachability
+(`OrbitPoset.row` builds it at the first query, as on a built poset)
 and checks no clan's membership: the family's `verdicts` checks every
 member of a poset it did not walk.  `load_or_build` checks the version,
-the family and the orbit count on the raw dict before it decodes a clan
-or a cover; a failed check raises rather than returning a bad poset.
+the family and the orbit count, capped at the CLI's `MAX_ORBITS` unless
+a caller passes another, on the raw dict before it decodes a clan or a
+cover; a failed check raises rather than returning a bad poset.
 """
 
 from __future__ import annotations
@@ -26,8 +28,8 @@ from pathlib import Path
 from typing import Container
 
 from .clans import parse_clan
-from .closure import Covers, OrbitPoset, build_poset
-from .errors import CorruptCache, RankTooLarge, VersionMismatch
+from .closure import MAX_ORBITS, Covers, OrbitPoset, build_poset, check_cap
+from .errors import CorruptCache, VersionMismatch
 from .family import Family
 
 CACHE_VERSION = 2
@@ -113,7 +115,7 @@ def save_poset(poset: OrbitPoset, path: str | Path) -> Path:
 
 
 def load_poset(path: str | Path, family: Family | None = None,
-               max_orbits: int | None = None) -> OrbitPoset:
+               max_orbits: int = MAX_ORBITS) -> OrbitPoset:
     """The poset saved at `path`, validated.  With `family`, the file must
     hold that family's poset, its covers labelled by the family's simple
     roots, and `family.count()` orbits, at most `max_orbits`; the meta and
@@ -130,15 +132,14 @@ def load_poset(path: str | Path, family: Family | None = None,
         raise CorruptCache(f"{path} holds the poset of {meta}, not {family.meta()}")
     orbits = data.get("orbits")
     if isinstance(orbits, list):
-        if max_orbits is not None and len(orbits) > max_orbits:
-            raise RankTooLarge(f"{len(orbits)} orbits exceed the cap of {max_orbits}")
+        check_cap(len(orbits), max_orbits)
         if len(orbits) != (total := family.count()):
             raise CorruptCache(f"{path} holds {len(orbits)} orbits, the family has {total}")
     return poset_from_dict(data, family.root_indices())
 
 
 def load_or_build(family: Family, cache_dir: str | Path | None,
-                  max_orbits: int | None = None) -> OrbitPoset:
+                  max_orbits: int = MAX_ORBITS) -> OrbitPoset:
     """Fetch the family's poset from the cache directory, building and
     storing it on a miss.  A cached poset of another family, or one with a
     cover labelled by a root that is not a simple root of the family, is a

@@ -19,8 +19,9 @@ from itertools import groupby
 
 from .cache import load_or_build, poset_to_dict
 from .clans import CONVENTIONS
-from .closure import Covers, OrbitPoset, quotient_poset, raising_moves_oracle
-from .errors import CacheError, ClanError, ConsistencyError, RankTooLarge
+from .closure import (MAX_ORBITS, Covers, OrbitPoset, check_cap, quotient_poset,
+                      raising_moves_oracle)
+from .errors import CacheError, ClanError, ConsistencyError
 from .family_a import FamilyA
 from .family_c import FamilyC
 from .family_d import ISOGENY_LEVELS_D, FamilyD
@@ -145,9 +146,7 @@ def _verify_figures(args, parser) -> int:
 
 def _verify_counts(args, parser) -> int:
     family = make_family(args, parser)
-    expected = family.count()
-    if expected > args.max_orbits:
-        raise RankTooLarge(f"{expected} orbits exceed the cap of {args.max_orbits}")
+    check_cap(expected := family.count(), args.max_orbits)
     orbits = family.enumerate()
     ok = len(orbits) == expected
     line = f"counts {family}: {len(orbits)} orbits vs closed form {expected}"
@@ -209,7 +208,7 @@ def main(argv=None) -> int:
         p.add_argument("--isogeny", default="sc", choices=ISOGENY_LEVELS_D)
         p.add_argument("--convention", default="paper", choices=CONVENTIONS)
         p.add_argument("--cache-dir", default=None)
-        p.add_argument("--max-orbits", type=int, default=100_000)
+        p.add_argument("--max-orbits", type=int, default=MAX_ORBITS)
 
     p_list = sub.add_parser("list", help="one row per orbit or orbit class")
     add_family_flags(p_list)

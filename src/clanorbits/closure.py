@@ -28,6 +28,13 @@ if TYPE_CHECKING:
     from .family import Family
 
 _BIT_BYTES = bytes.maketrans(b"01", b"\0\1")  # binary digits to the bytes 0 and 1
+MAX_ORBITS = 100_000  # the default orbit cap of every build and load, library and CLI alike
+
+
+def check_cap(total: int, max_orbits: int) -> None:
+    """Refuse `total` orbits over the cap of `max_orbits`."""
+    if total > max_orbits:
+        raise RankTooLarge(f"{total} orbits exceed the cap of {max_orbits}")
 
 
 def _swap(code: tuple, u: int, v: int) -> tuple:
@@ -193,13 +200,14 @@ class OrbitPoset:
 
     `down_over(ids)` gives each node its down-set restricted to `ids`.
     The full down-sets, Θ(N²) bits, are the one structure behind every
-    per-orbit query, built at the first and kept as byte rows: row j
-    holds bit i of j's down-set in bit i & 7 of byte i >> 3, up to bit j
-    (j // 8 + 1 bytes, as ids rise with dimension), so `le` reads one
-    byte in O(1), `closed_below` a row's prefix, and `down` the rows as
-    ints, lazily.  The trade-off: a first `closed_below` pays N²/16 bytes
-    (122 MiB at A(5,5)) where N bits per closed node would do.  The minima
-    and maxima are the ids missing from the hi and the lo column.
+    per-orbit query, kept as byte rows that `row`, their one builder,
+    makes at the first query: row j holds bit i of j's down-set in bit
+    i & 7 of byte i >> 3, up to bit j (j // 8 + 1 bytes, as ids rise with
+    dimension), so `le` reads one byte in O(1), `closed_below` a row's
+    prefix, and `down` the rows as ints, lazily.  The trade-off: a first
+    `closed_below` pays N²/16 bytes (122 MiB at A(5,5)) where N bits per
+    closed node would do.  The minima and maxima are the ids missing from
+    the hi and the lo column.
     """
 
     walked_by: Family | None = None  # whose walk checked every member: `build_poset` sets it
@@ -235,28 +243,25 @@ class OrbitPoset:
             masks[hi] |= masks[lo]
         return masks
 
-    def _rows(self) -> list[bytes]:
-        """The full down-sets as byte rows, pushed at the first call and
-        converted in place, so one int at a time lives beside its row."""
-        if self._down is None:
-            rows = self.down_over(range(len(self.orbits)))
-            for j, mask in enumerate(rows):
-                rows[j] = mask.to_bytes(j // 8 + 1, "little")
-            self._down = rows
-        return self._down
-
     def row(self, j: int) -> bytes:
         """Row j of the full down-sets: bit i & 7 of byte i >> 3 is set
-        when i <= j; there are no bytes past bit j."""
+        when i <= j; there are no bytes past bit j.  The rows' one builder: the
+        first call pushes them all and converts them in place, one int at a time."""
         try:
             return self._down[j]
         except TypeError:  # `_down` is None before the first query
-            return self._rows()[j]
+            if self._down is not None:
+                raise  # j is no index: the built rows stay
+            rows = self.down_over(range(len(self.orbits)))
+            for k, mask in enumerate(rows):
+                rows[k] = mask.to_bytes(k // 8 + 1, "little")
+            self._down = rows
+            return rows[j]
 
     @property
     def down(self) -> Iterator[int]:
         """The full down-sets as ints, lazily, no list: bit i of the j-th is set when i <= j."""
-        return (int.from_bytes(row, "little") for row in self._rows())
+        return (int.from_bytes(self.row(j), "little") for j in range(len(self.orbits)))
 
     def __len__(self) -> int:
         return len(self.orbits)
@@ -351,7 +356,7 @@ class OrbitPoset:
                     raise ConsistencyError(f"minimal orbit {clan} is not an all-sign clan")
 
 
-def weak_order_graph(family: Family, max_orbits: int | None = None):
+def weak_order_graph(family: Family, max_orbits: int = MAX_ORBITS):
     """Upward move-closure of the family's closed orbits, numbered as it
     goes: (orbits, edges, dims), lists in id order, the weak edges as
     (lo, hi, root) id triples.
@@ -366,12 +371,11 @@ def weak_order_graph(family: Family, max_orbits: int | None = None):
     `contains`, then its unchecked dimension against its layer's (the codes
     are well formed: `_swap` carries the mates and `tests/test_moves.py`
     pins each move); the total against the count, taken first against the
-    length cap and `max_orbits`, so oversized input fails at once.  Codes
-    move by the unchecked `_raise`: one `Clan` per orbit.
+    length cap and `max_orbits` (the CLI's `MAX_ORBITS` unless a caller
+    passes another), so oversized input fails at once.  Codes move by the
+    unchecked `_raise`: one `Clan` per orbit.
     """
-    total = family.count()
-    if max_orbits is not None and total > max_orbits:
-        raise RankTooLarge(f"{total} orbits exceed the cap of {max_orbits}")
+    check_cap(total := family.count(), max_orbits)
     layer = family.closed_clans()
     closed_dims = {family.dimension(c) for c in layer}
     if len(closed_dims) > 1:
@@ -463,7 +467,7 @@ def complete_closure(dims_by_id: Sequence[int],
     return Covers(lo, hi, root)
 
 
-def build_poset(family: Family, max_orbits: int | None = None) -> OrbitPoset:
+def build_poset(family: Family, max_orbits: int = MAX_ORBITS) -> OrbitPoset:
     """Weak order graph, completed, as a validated poset marked `walked_by` the family."""
     orbits, weak, dims = weak_order_graph(family, max_orbits)
     poset = OrbitPoset(family.meta(), orbits, dims, complete_closure(dims, weak))

@@ -60,6 +60,10 @@ class Family(Protocol):
         """The JSON-able parameters that identify the family (cache key)."""
         ...
 
+    def __repr__(self) -> str:
+        args = ", ".join(f"{k}={v!r}" for k, v in self.meta().items() if k != "family")
+        return f"Family{self.name.upper()}({args})"
+
     def root_indices(self) -> range:
         """The 1-based simple-root labels."""
         ...

@@ -48,9 +48,6 @@ class FamilyA(Family):
     def meta(self) -> dict:
         return {"family": "a", "p": self.p, "q": self.q}
 
-    def __repr__(self) -> str:
-        return f"FamilyA(p={self.p}, q={self.q})"
-
     def root_indices(self) -> range:
         return range(1, self.n)
 

@@ -115,9 +115,6 @@ class FamilyC(MirrorFamily):
     def meta(self) -> dict:
         return {"family": "c", "p": self.p, "q": self.q}
 
-    def __repr__(self) -> str:
-        return f"FamilyC(p={self.p}, q={self.q})"
-
     def root_indices(self) -> range:
         return range(1, self.n + 1)
 

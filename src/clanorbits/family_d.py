@@ -203,9 +203,6 @@ class FamilyD(MirrorFamily):
     def meta(self) -> dict:
         return {"family": "d", "n": self.n, "convention": self.convention}
 
-    def __repr__(self) -> str:
-        return f"FamilyD(n={self.n}, convention={self.convention!r})"
-
     def root_indices(self) -> range:
         # rank 1 is a torus: no simple roots at all
         return range(1, self.n + 1) if self.n >= 2 else range(0)

@@ -18,7 +18,7 @@ from clanorbits.cache import (
     save_poset,
 )
 from clanorbits.cli import main
-from clanorbits.closure import quotient_poset
+from clanorbits.closure import MAX_ORBITS, quotient_poset
 from clanorbits.errors import CorruptCache, RankTooLarge, SignatureMismatch, VersionMismatch
 from clanorbits.family import SIGN_FLIP_LEVELS
 from clanorbits.family_d import ISOGENY_LEVELS_D
@@ -156,6 +156,17 @@ def test_max_orbits_stops_the_build(tmp_path):
     save_poset(build_poset(FamilyA(2, 2)), tmp_path / "a-p2-q2.json")
     assert main(["list", "--family", "a", "--p", "2", "--q", "2", "--max-orbits", "10",
                  "--cache-dir", str(tmp_path)]) == 2
+
+
+def test_the_library_takes_the_cli_cap():
+    """`build_poset` and `load_or_build` default to the cap of `--max-orbits`:
+    A(6,6), with 845,691 orbits, is refused on its closed-form count, not
+    after a walk."""
+    for call in (lambda: build_poset(FamilyA(6, 6)), lambda: load_or_build(FamilyA(6, 6), None)):
+        start = time.perf_counter()
+        with pytest.raises(RankTooLarge, match="^845691 orbits exceed the cap of 100000$"):
+            call()
+        assert time.perf_counter() - start < 1
 
 
 def test_a_negative_cap_is_a_usage_error(capsys):
@@ -546,7 +557,7 @@ def test_covers_out_of_order_load_sorted(tmp_path, order):
 
 
 @pytest.mark.parametrize("saved, max_orbits, error", [
-    (FamilyC(1, 1), None, CorruptCache),
+    (FamilyC(1, 1), MAX_ORBITS, CorruptCache),
     (FamilyA(2, 2), 10, RankTooLarge),
 ], ids=["foreign", "oversized"])
 def test_load_or_build_refuses_before_decoding(tmp_path, monkeypatch, saved, max_orbits, error):

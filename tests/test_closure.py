@@ -288,16 +288,14 @@ _BITS = bytes.maketrans(b"01", b"\0\1")
 def check_every_pair(poset, built=None, family=None):
     """Check the queries on every pair against the int down-sets of
     `down_over(range(N))`: `closed_below` on every orbit, its first call
-    building the rows, and again on the rows it built; with `built` None,
-    `le` on every pair and, with a family, `springer_report` on every
-    (orbit, closed orbit) pair; else `le_ids` on every pair.  The answer
-    of `le` is a function of `member_index` and the rows, so a loaded
-    poset with both equal to those of the built one it is checked against
-    answers `le` alike."""
+    building the rows; with `built` None, `le` on every pair and, with a
+    family, `springer_report` on every (orbit, closed orbit) pair; else
+    `le_ids` on every pair.  The answer of `le` is a function of
+    `member_index` and the rows, so a loaded poset with both equal to
+    those of the built one it is checked against answers `le` alike."""
     n, orbits, closed = len(poset), poset.orbits, poset._minima
     ref = poset.down_over(range(n))
     want = [[orbits[i] for i in closed if d >> i & 1] for d in ref]
-    assert [poset.closed_below(o) for o in orbits] == want
     assert [poset.closed_below(o) for o in orbits] == want
     if built is not None:
         assert poset._down == built._down and poset.member_index == built.member_index
@@ -362,7 +360,8 @@ def test_queries_read_rows_across_byte_boundaries():
 def test_down_view_and_a_flipped_row():
     """`down` yields the rows as the ints of `down_over(range(N))`,
     lazily, not as a list.  One flipped bit of one row changes the
-    answers of `le` and `springer_report`."""
+    answers of `le` and `springer_report`, and a bad index to `row` does
+    not rebuild the rows."""
     family = FamilyA(2, 2)
     poset = build_poset(family)
     n, ref = len(poset), poset.down_over(range(len(poset)))
@@ -380,6 +379,9 @@ def test_down_view_and_a_flipped_row():
     poset._down[top] = bytes(row)
     assert not poset.le(poset.orbits[mid], orbit)
     assert springer_report(family, poset, orbit, closed).s_size == before.s_size - 1
+    with pytest.raises(TypeError):
+        poset.row("x")  # no index: the built rows, the flipped one too, stay
+    assert not poset.le(poset.orbits[mid], orbit)
 
 
 def test_minima_are_the_closed_orbits(poset_a22):
@@ -453,31 +455,46 @@ FIRST_QUERIES = {  # each asks of the lowest orbit and the open one, and is true
 }
 
 
-@pytest.mark.parametrize("first", FIRST_QUERIES)
-@pytest.mark.parametrize("family", ORACLE_FAMILIES, ids=repr)
-def test_full_down_sets_wait_for_the_first_le(family, first, tmp_path):
-    """On the base poset, built and loaded, and on every folded isogeny
-    view: `cross_validate` and `orbit_rows` build no full down-sets.  The
-    first per-orbit query, each of `le`, `le_ids`, `closed_below` and
-    `springer_report` in turn, builds them.  Then `le_ids` and
-    `closed_below` give the searched down-set and its closed orbits,
-    lowest id first, and every member of every class resolves to its
-    class id."""
+def lazy_and_loaded_views(family, tmp_path):
+    """The base poset and its folded isogeny views, built and loaded."""
     base = build_poset(family)
     folds = [(level, family.isogeny_fold(level)) for level in family.levels]
 
     def views(poset):
         return [poset] + [quotient_poset(poset, fold, level) for level, fold in folds if fold]
 
-    lazy, eager = views(base), views(load_poset(save_poset(base, tmp_path / "base.json")))
+    return views(base), views(load_poset(save_poset(base, tmp_path / "base.json")))
+
+
+@pytest.mark.parametrize("first", FIRST_QUERIES)
+@pytest.mark.parametrize("family", ORACLE_FAMILIES, ids=repr)
+def test_full_down_sets_wait_for_the_first_le(family, first, tmp_path):
+    """On the base poset, built and loaded, and on every folded isogeny
+    view: `cross_validate` and `orbit_rows` build no full down-sets.  The
+    first per-orbit query, each of `le`, `le_ids`, `closed_below` and
+    `springer_report` in turn, answers True and builds them: the rows of
+    `down_over(range(N))`, byte for byte.  Every member of every class
+    resolves to its class id.  What the rows then answer on every pair is
+    checked once per family, by `test_rows_give_the_searched_down_sets`."""
+    lazy, eager = lazy_and_loaded_views(family, tmp_path)
     for poset in lazy:
         cross_validate(family, poset)
         orbit_rows(family, poset)
         assert poset._down is None
-    for before, poset in zip(lazy, eager):
-        for view in (before, poset):
-            assert view._down is None
-            assert FIRST_QUERIES[first](family, view) and view._down is not None
+    for view in lazy + eager:
+        assert view._down is None
+        assert FIRST_QUERIES[first](family, view) and view._down is not None
+        ref = view.down_over(range(len(view)))
+        assert view._down == [d.to_bytes(j // 8 + 1, "little") for j, d in enumerate(ref)]
+        assert all(view.id_of(m) == i for i, ms in enumerate(view.members) for m in ms)
+
+
+@pytest.mark.parametrize("family", ORACLE_FAMILIES, ids=repr)
+def test_rows_give_the_searched_down_sets(family, tmp_path):
+    """On the base poset and every folded isogeny view, built and loaded:
+    `down` and `le_ids` give each node's searched down-set, and
+    `closed_below` its closed orbits, lowest id first, on both views."""
+    for before, poset in zip(*lazy_and_loaded_views(family, tmp_path)):
         searched = searched_down_sets(poset)
         closed = set(map(poset.id_of, poset.minima()))
         for j, (below, down) in enumerate(zip(searched, poset.down)):
@@ -486,8 +503,6 @@ def test_full_down_sets_wait_for_the_first_le(family, first, tmp_path):
             want = sorted(below & closed)  # lowest id first
             assert list(map(poset.id_of, poset.closed_below(poset.orbits[j]))) == want
             assert list(map(before.id_of, before.closed_below(before.orbits[j]))) == want
-        for view in (before, poset):
-            assert all(view.id_of(m) == i for i, ms in enumerate(view.members) for m in ms)
 
 
 def test_down_over_restricts_the_down_sets(poset_a33):
