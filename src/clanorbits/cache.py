@@ -12,10 +12,11 @@ version is a `VersionMismatch`, not rebuilt silently.  Loading validates
 the schema and the poset (`poset_from_dict`) but builds no reachability
 (`OrbitPoset.row` builds it at the first query, as on a built poset)
 and checks no clan's membership: the family's `verdicts` checks every
-member of a poset it did not walk.  `load_or_build` checks the version,
-the family and the orbit count, capped at the CLI's `MAX_ORBITS` unless
-a caller passes another, on the raw dict before it decodes a clan or a
-cover; a failed check raises rather than returning a bad poset.
+member of a poset it did not walk.  Every load checks the version and
+the orbit count against the cap (the CLI's `MAX_ORBITS` unless a caller
+passes another), and a load for a family, as in `load_or_build`, checks
+the family too, all on the raw dict before it decodes a clan or a cover;
+a failed check raises rather than returning a bad poset.
 """
 
 from __future__ import annotations
@@ -116,26 +117,26 @@ def save_poset(poset: OrbitPoset, path: str | Path) -> Path:
 
 def load_poset(path: str | Path, family: Family | None = None,
                max_orbits: int = MAX_ORBITS) -> OrbitPoset:
-    """The poset saved at `path`, validated.  With `family`, the file must
-    hold that family's poset, its covers labelled by the family's simple
-    roots, and `family.count()` orbits, at most `max_orbits`; the meta and
-    the orbit count are checked on the raw dict, before a clan is decoded."""
+    """The poset saved at `path`, validated, of at most `max_orbits`
+    orbits.  With `family`, the file must hold that family's poset, its
+    covers labelled by the family's simple roots, and `family.count()`
+    orbits; the meta and the orbit count are checked on the raw dict,
+    before a clan is decoded."""
     try:
         data = json.loads(Path(path).read_text())
     except (OSError, ValueError) as exc:  # ValueError: bad JSON or bad UTF-8
         raise CorruptCache(f"unreadable cache file {path}: {exc}") from exc
     meta = _meta(data, path)
-    if family is None:
-        return poset_from_dict(data)
     # compared as JSON text, so a `true` or `1.0` in the file is not the family's `1`
-    if json.dumps(meta, sort_keys=True) != json.dumps(family.meta(), sort_keys=True):
+    text = json.dumps(meta, sort_keys=True)
+    if family is not None and text != json.dumps(family.meta(), sort_keys=True):
         raise CorruptCache(f"{path} holds the poset of {meta}, not {family.meta()}")
     orbits = data.get("orbits")
     if isinstance(orbits, list):
         check_cap(len(orbits), max_orbits)
-        if len(orbits) != (total := family.count()):
+        if family is not None and len(orbits) != (total := family.count()):
             raise CorruptCache(f"{path} holds {len(orbits)} orbits, the family has {total}")
-    return poset_from_dict(data, family.root_indices())
+    return poset_from_dict(data, None if family is None else family.root_indices())
 
 
 def load_or_build(family: Family, cache_dir: str | Path | None,

@@ -508,7 +508,8 @@ def quotient_poset(poset: OrbitPoset, fold: Callable[[Clan], Clan] | None,
     folded = OrbitPoset(
         {**poset.meta, "level": level}, [orbits[i] for i in reps], [dims[i] for i in reps],
         Covers.of(covers),
-        [(orbits[i],) if image[i] == i else (orbits[i], orbits[image[i]]) for i in reps])
+        [poset.members[i] if image[i] == i else poset.members[i] + poset.members[image[i]]
+         for i in reps])
     folded.validate()
     folded.walked_by = poset.walked_by  # the members are the walked orbits
     return folded

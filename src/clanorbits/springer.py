@@ -19,10 +19,10 @@ down-sets, the poset's one per-orbit structure: `closed_below` a row's
 prefix, and `springer_report`, also the oracle of the tests, `le_ids`
 for the closed node, then one byte of the same row per raised node.
 `cross_validate` checks every orbit against the pattern-based
-classifiers without them: `raised_masks` folds the raised nodes into
-bitmasks over the landmarks (the closed nodes and the nodes their roots
-raise them to), so an orbit's count is a popcount against its down-set
-over the landmarks (`root_count`).  `rationally_smooth` and
+classifiers without them: `raised_masks` folds each closed node's raised
+nodes into one bitmask over the landmarks (the closed nodes and the
+nodes their roots raise them to), so an orbit's count is a popcount
+against its down-set over the landmarks.  `rationally_smooth` and
 `SpringerReport.to_json` are public API for library callers; the package
 calls neither.
 
@@ -33,7 +33,6 @@ and containment is read off the quotient order.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from weakref import WeakKeyDictionary
 
@@ -70,7 +69,13 @@ def raised_nodes(family: Family, poset: OrbitPoset, cid: int) -> tuple[tuple[Roo
     """(root, node id) for each noncompact root of the closed node `cid`
     and the node it raises `cid` to, which must lie strictly higher:
     mapped once per closed node and kept in the poset's table, which
-    another family object refills."""
+    another family object refills.
+
+    No two roots raise `cid` to one node, so raised nodes count roots:
+    distinct positive roots pair up distinct slot sets, so they give
+    distinct clans, and the sign flip, the package's one fold, keeps
+    every pair, so those clans stay in distinct classes.  A repeat is a
+    `ConsistencyError`."""
     owner, table = _TABLES.get(poset, (None, None))
     if owner is not family:
         _TABLES[poset] = family, (table := {})
@@ -85,6 +90,8 @@ def raised_nodes(family: Family, poset: OrbitPoset, cid: int) -> tuple[tuple[Roo
         if dims[mid] <= dims[cid]:
             raise ConsistencyError(f"raising root {root} failed to raise {closed}")
         out.append((root, mid))
+    if len({mid for _, mid in out}) != len(out):
+        raise ConsistencyError(f"two roots raise {closed} to one node")
     table[cid] = out = tuple(out)
     return out
 
@@ -114,35 +121,18 @@ def rationally_smooth(family: Family, poset: OrbitPoset, orbit: Clan) -> bool:
     )
 
 
-def raised_masks(family: Family, poset: OrbitPoset) -> tuple[list[int], dict[int, tuple[int, ...]]]:
-    """Down-sets over the landmarks and, per closed node id, layered
-    masks over the landmarks.
+def raised_masks(family: Family, poset: OrbitPoset) -> tuple[list[int], dict[int, int]]:
+    """Down-sets over the landmarks and, per closed node id, the mask of
+    its raised nodes over the landmarks.
 
     The landmarks are the closed nodes, first and in id order, then the
     nodes their noncompact roots raise them to, read off the poset's
-    table; bit k of a mask stands for the k-th landmark.  Bit k of the
-    l-th layer (from 1) is set when at least l roots raise the closed
-    node to landmark k, so a node counts once per root that reaches it,
-    not once in all."""
+    table; bit k of a mask stands for the k-th landmark."""
     raised = {cid: raised_nodes(family, poset, cid) for cid in map(poset.id_of, poset.minima())}
     landmarks = list(raised) + sorted({mid for hits in raised.values() for _, mid in hits})
     position = {v: k for k, v in enumerate(landmarks)}
-    masks = {}
-    for cid, hits in raised.items():
-        counts = Counter(position[mid] for _, mid in hits)
-        layers = [0] * max(counts.values(), default=0)
-        for k, times in counts.items():
-            for layer in range(times):
-                layers[layer] |= 1 << k
-        masks[cid] = tuple(layers)
+    masks = {cid: sum(1 << position[mid] for _, mid in hits) for cid, hits in raised.items()}
     return poset.down_over(landmarks), masks
-
-
-def root_count(layers: tuple[int, ...], down: int) -> int:
-    """The number of roots raising a closed node into a down-set over the
-    landmarks: equal to `springer_report(...).s_size` for the orbit
-    whose down-set it is."""
-    return sum((layer & down).bit_count() for layer in layers)
 
 
 def cross_validate(family: Family, poset: OrbitPoset) -> dict:
@@ -161,8 +151,8 @@ def cross_validate(family: Family, poset: OrbitPoset) -> dict:
         by_roots = True
         while below:  # only the closed nodes below the orbit, lowest bit first
             low = below & -below
-            cid, layers = closed[low.bit_length() - 1]
-            if root_count(layers, down) > dim - dims[cid]:
+            cid, mask = closed[low.bit_length() - 1]
+            if (mask & down).bit_count() > dim - dims[cid]:
                 by_roots = False
                 break
             below ^= low

@@ -556,16 +556,22 @@ def test_covers_out_of_order_load_sorted(tmp_path, order):
     assert load_or_build(family, tmp_path).covers == built.covers
 
 
-@pytest.mark.parametrize("saved, max_orbits, error", [
-    (FamilyC(1, 1), MAX_ORBITS, CorruptCache),
-    (FamilyA(2, 2), 10, RankTooLarge),
-], ids=["foreign", "oversized"])
-def test_load_or_build_refuses_before_decoding(tmp_path, monkeypatch, saved, max_orbits, error):
-    """A cache of another family, or one over the cap, is refused on its
-    raw dict: no clan of it is parsed."""
-    save_poset(build_poset(saved), tmp_path / "a-p2-q2.json")
+@pytest.mark.parametrize("saved, family, max_orbits, error", [
+    (FamilyC(1, 1), FamilyA(2, 2), MAX_ORBITS, CorruptCache),
+    (FamilyA(2, 2), FamilyA(2, 2), 10, RankTooLarge),
+    (FamilyA(2, 2), None, 5, RankTooLarge),
+], ids=["foreign", "oversized", "family-less"])
+def test_load_or_build_refuses_before_decoding(tmp_path, monkeypatch, saved, family, max_orbits,
+                                               error):
+    """A cache of another family, or one over the cap, with or without a
+    family to check it against, is refused on its raw dict: no clan of it
+    is parsed."""
+    path = save_poset(build_poset(saved), tmp_path / "a-p2-q2.json")
     parsed = []
     monkeypatch.setattr("clanorbits.cache.parse_clan", parsed.append)
     with pytest.raises(error):
-        load_or_build(FamilyA(2, 2), tmp_path, max_orbits)
+        if family is None:
+            load_poset(path, max_orbits=max_orbits)
+        else:
+            load_or_build(family, tmp_path, max_orbits)
     assert parsed == []

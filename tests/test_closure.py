@@ -650,6 +650,19 @@ def test_quotient_numbers_classes_by_text_within_a_rank(family):
         want.orbits, want.dims, want.covers, want.members)
 
 
+@pytest.mark.parametrize("family", [FamilyA(2, 2), FamilyC(2, 2), FamilyD(4), FamilyD(6)],
+                         ids=repr)
+def test_a_folded_view_folds_to_itself(family):
+    """Folding the adjoint view again keeps every member of each class:
+    the refold has the orbits, members and covers of the first fold, and
+    `le` answers on every member."""
+    fold = family.isogeny_fold("adjoint")
+    once = quotient_poset(build_poset(family), fold, "adjoint")
+    twice = quotient_poset(once, fold, "adjoint")
+    assert (twice.orbits, twice.members, twice.covers) == (once.orbits, once.members, once.covers)
+    assert all(twice.le(m, once.open_orbit()) for ms in once.members for m in ms)
+
+
 # --------------------------------------------------------------- oracle
 
 def test_oracle_examples():

@@ -26,7 +26,7 @@ from clanorbits.family import SIGN_FLIP_LEVELS
 from clanorbits.family_d import ISOGENY_LEVELS_D
 from clanorbits import springer
 from clanorbits.cli import orbit_rows
-from clanorbits.springer import raised_masks, root_count
+from clanorbits.springer import raised_masks
 
 from clan_transforms import dim_of, tau
 
@@ -339,13 +339,13 @@ def test_mask_counts_match_reports():
             assert list(masks) == [view.id_of(c) for c in view.minima()]
             pairs = 0
             for oid, orbit in enumerate(view.orbits):
-                for cid, layers in masks.items():
+                for cid, mask in masks.items():
                     if not view.le_ids(cid, oid):
                         continue
                     report = springer_report(family, view, orbit, view.orbits[cid])
                     full = sum(full_downs[oid] >> view.member_index[moved.code] & 1
                                for _, moved in family.raised(view.orbits[cid]))
-                    assert root_count(layers, downs[oid]) == report.s_size == full, \
+                    assert (mask & downs[oid]).bit_count() == report.s_size == full, \
                         (family, level, orbit)
                     pairs += 1
             assert pairs >= len(view.orbits)
@@ -361,16 +361,14 @@ def test_raised_masks_guard_the_moves(poset_a22, monkeypatch):
         cross_validate(FamilyA(2, 2), poset_a22)
 
 
-def test_mask_counts_keep_root_multiplicity(poset_a22, monkeypatch):
-    # every root of every closed orbit lands on one node: counted per root
-    fa = FamilyA(2, 2)
+def test_a_repeated_raised_node_is_refused(poset_a22, monkeypatch):
+    # every root of every closed orbit lands on one node: both counts refuse it
     monkeypatch.setattr(FamilyA, "_pair_up", staticmethod(lambda code, slots: P("1,1,-,+").code))
-    downs, masks = raised_masks(fa, poset_a22)
-    top = poset_a22.id_of(fa.open_clan())
-    for cid, layers in masks.items():
-        report = springer_report(fa, poset_a22, fa.open_clan(), poset_a22.orbits[cid])
-        assert report.s_size == len(layers) > 1
-        assert root_count(layers, downs[top]) == report.s_size
+    fa = FamilyA(2, 2)
+    with pytest.raises(ConsistencyError, match="to one node"):
+        cross_validate(fa, poset_a22)
+    with pytest.raises(ConsistencyError, match="to one node"):
+        springer_report(fa, poset_a22, fa.open_clan(), poset_a22.minima()[0])
 
 
 @pytest.mark.parametrize(
